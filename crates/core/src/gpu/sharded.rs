@@ -209,8 +209,8 @@ pub fn color_sharded<B: Backend>(
         checkpoint,
     );
 
-    let finish = |profile: RunProfile, colors: Vec<u32>, iterations: usize| {
-        let num_colors = colors.iter().copied().max().unwrap_or(0) as usize;
+    let finish = |profile: RunProfile, mut colors: Vec<u32>, iterations: usize| {
+        let num_colors = close_label_gaps(&mut colors);
         Ok(Coloring {
             scheme,
             colors,
@@ -434,6 +434,31 @@ pub fn color_sharded<B: Backend>(
     finish(profile, global_colors, local_iters + rounds)
 }
 
+/// Returns the number of distinct labels in `colors`. Palette rotation
+/// followed by exchange-round recolors can leave a label below the
+/// maximum unused; such gaps are closed by an order-preserving relabel,
+/// so labels stay dense in `1..=num_colors`. Gap-free colorings are left
+/// untouched.
+fn close_label_gaps(colors: &mut [u32]) -> usize {
+    let max = colors.iter().copied().max().unwrap_or(0) as usize;
+    let mut rank = vec![0u32; max + 1];
+    for &c in colors.iter() {
+        rank[c as usize] = 1;
+    }
+    rank[0] = 0;
+    let mut used = 0u32;
+    for r in rank.iter_mut().filter(|r| **r == 1) {
+        used += 1;
+        *r = used;
+    }
+    if used as usize != max {
+        for c in colors.iter_mut() {
+            *c = rank[*c as usize];
+        }
+    }
+    used as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,6 +643,32 @@ mod tests {
         )
         .unwrap();
         verify_coloring(&g, &r.colors).unwrap();
+    }
+
+    #[test]
+    fn reported_count_is_the_distinct_labels_on_a_sharded_mesh() {
+        // A small irregular mesh (the thermal2 stand-in's generator) at
+        // P = 2: palette rotation plus repair leaves label 8 in use and
+        // one label below it empty, which the count used to include.
+        let dev = Device::tiny();
+        let g = gcol_graph::gen::mesh2d(12, 12, 0.10, 0x80);
+        let opts = ColorOptions::default();
+        let r = color_sharded(Scheme::DataBase, &g, &simt_fleet(&dev, 2), &opts).unwrap();
+        verify_coloring(&g, &r.colors).unwrap();
+        assert_eq!(r.num_colors, gcol_graph::check::count_colors(&r.colors));
+        assert_eq!(r.num_colors, 7);
+        assert_eq!(r.colors.iter().copied().max(), Some(7));
+    }
+
+    #[test]
+    fn closing_label_gaps_preserves_order() {
+        let mut colors = vec![3, 1, 3, 5, 1];
+        assert_eq!(close_label_gaps(&mut colors), 3);
+        assert_eq!(colors, [2, 1, 2, 3, 1]);
+        let mut dense = vec![2, 1, 3, 2];
+        assert_eq!(close_label_gaps(&mut dense), 3);
+        assert_eq!(dense, [2, 1, 3, 2]);
+        assert_eq!(close_label_gaps(&mut []), 0);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! preprocessing.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Vertex identifier. The paper's graphs have ~1.6M vertices; `u32` matches
 /// the CUDA kernels' `int` indices and halves memory traffic vs `usize`.
@@ -34,11 +35,22 @@ pub type VertexId = u32;
 /// * `row_offsets[0] == 0`, `row_offsets` is non-decreasing,
 ///   `row_offsets[n] == col_indices.len()`
 /// * every entry of `col_indices` is `< num_vertices`
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Csr {
     row_offsets: Vec<u32>,
     col_indices: Vec<VertexId>,
+    /// [`Csr::content_fingerprint`], hashed on first use. Not part of the
+    /// graph's identity: equality ignores it and the one mutator resets it.
+    fingerprint: OnceLock<u64>,
 }
+
+impl PartialEq for Csr {
+    fn eq(&self, other: &Self) -> bool {
+        self.row_offsets == other.row_offsets && self.col_indices == other.col_indices
+    }
+}
+
+impl Eq for Csr {}
 
 impl Csr {
     /// Builds a CSR graph from raw arrays, validating the invariants.
@@ -74,6 +86,7 @@ impl Csr {
         Ok(Self {
             row_offsets,
             col_indices,
+            fingerprint: OnceLock::new(),
         })
     }
 
@@ -82,6 +95,7 @@ impl Csr {
         Self {
             row_offsets: vec![0; n + 1],
             col_indices: Vec::new(),
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -198,6 +212,7 @@ impl Csr {
         let mut out = Csr {
             row_offsets: offsets,
             col_indices: cols,
+            fingerprint: OnceLock::new(),
         };
         out.sort_neighbor_lists();
         out
@@ -205,6 +220,7 @@ impl Csr {
 
     /// Sorts every adjacency list in place.
     pub fn sort_neighbor_lists(&mut self) {
+        self.fingerprint = OnceLock::new();
         for v in 0..self.num_vertices() {
             let lo = self.row_offsets[v] as usize;
             let hi = self.row_offsets[v + 1] as usize;
@@ -235,7 +251,15 @@ impl Csr {
     /// a splitmix64 finalizer, like the rest of the crate's RNG) so the
     /// value is bit-stable across platforms and dependency versions; the
     /// unit test pins it for the Fig. 2 example graph.
+    ///
+    /// The arrays are hashed at most once per graph: the value is memoized
+    /// (and carried by `clone`), so a server that keeps its graphs behind
+    /// an `Arc` pays O(1) per request instead of O(n + m).
     pub fn content_fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.hash_arrays())
+    }
+
+    fn hash_arrays(&self) -> u64 {
         #[inline]
         fn mix(h: u64, w: u64) -> u64 {
             let x = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -465,5 +489,52 @@ mod tests {
             Csr::empty(0).content_fingerprint(),
             Csr::empty(1).content_fingerprint()
         );
+    }
+
+    #[test]
+    fn memoized_fingerprint_matches_a_fresh_hash() {
+        let g = fig2_graph();
+        assert!(g.fingerprint.get().is_none());
+        let first = g.content_fingerprint();
+        assert_eq!(g.fingerprint.get(), Some(&first));
+        assert_eq!(g.content_fingerprint(), first);
+        assert_eq!(first, g.hash_arrays());
+        assert_eq!(first, fig2_graph().content_fingerprint());
+    }
+
+    #[test]
+    fn clone_carries_the_memoized_fingerprint() {
+        let g = fig2_graph();
+        let fp = g.content_fingerprint();
+        let c = g.clone();
+        assert_eq!(c.fingerprint.get(), Some(&fp));
+        assert_eq!(c.content_fingerprint(), c.hash_arrays());
+    }
+
+    #[test]
+    fn sorting_neighbor_lists_resets_the_memo() {
+        // Vertex 0 lists its neighbors out of order.
+        let mut g = Csr::new(vec![0, 2, 3, 4], vec![2, 1, 0, 0]);
+        let unsorted = g.content_fingerprint();
+        g.sort_neighbor_lists();
+        assert_eq!(g.neighbors(0), &[1, 2]);
+        assert!(g.fingerprint.get().is_none());
+        let sorted = g.content_fingerprint();
+        assert_ne!(sorted, unsorted);
+        assert_eq!(
+            sorted,
+            Csr::new(vec![0, 2, 3, 4], vec![1, 2, 0, 0]).content_fingerprint()
+        );
+    }
+
+    #[test]
+    fn equality_ignores_the_memo() {
+        let filled = fig2_graph();
+        filled.content_fingerprint();
+        let empty = fig2_graph();
+        assert!(empty.fingerprint.get().is_none());
+        assert_eq!(filled, empty);
+        assert_eq!(empty, filled);
+        assert_ne!(filled, Csr::empty(5));
     }
 }

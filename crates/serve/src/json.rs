@@ -12,6 +12,13 @@
 //! Numbers are kept as `f64`, which is exact for every integer the
 //! protocol carries (ids, vertex counts, seeds up to 2^53; seeds larger
 //! than that must be sent as strings — [`crate::proto`] accepts both).
+//!
+//! One large payload bypasses the tree: a response's per-vertex
+//! `"assignment"` array, which [`crate::proto`] writes as plain decimal
+//! digits straight into the output. Built as a tree it would cost one
+//! `Json::Num` per vertex (half a million at scale 19) plus an integral
+//! check per element while rendering. The streamed bytes are identical
+//! to the tree rendering.
 
 use std::collections::BTreeMap;
 use std::fmt;

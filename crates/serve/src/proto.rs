@@ -402,6 +402,12 @@ pub fn ok_response(
     assignment: bool,
     plan: Option<(Slo, &Plan)>,
 ) -> String {
+    let header = ok_header(id, r, plan);
+    with_assignment(&header, assignment.then_some(r.coloring.colors.as_slice()))
+}
+
+/// Every field of [`ok_response`] except the assignment.
+fn ok_header(id: Option<u64>, r: &JobResponse, plan: Option<(Slo, &Plan)>) -> Json {
     let coloring: &Coloring = &r.coloring;
     let mut o = obj([
         ("ok", Json::Bool(true)),
@@ -419,21 +425,49 @@ pub fn ok_response(
     if let (Json::Obj(m), Some((slo, plan))) = (&mut o, plan) {
         m.insert("plan".into(), plan_json(slo, plan));
     }
-    if assignment {
-        if let Json::Obj(m) = &mut o {
-            m.insert(
-                "assignment".into(),
-                Json::Arr(
-                    coloring
-                        .colors
-                        .iter()
-                        .map(|&c| Json::Num(c as f64))
-                        .collect(),
-                ),
-            );
+    o
+}
+
+/// Renders the `header` object, with `"assignment":[…]` added when
+/// `colors` is given. The array is written straight into the output
+/// instead of going through a [`Json::Arr`]: it is the one payload that
+/// grows with the graph (half a million entries at scale 19). The bytes
+/// are those of the tree rendering — the codec orders keys, and
+/// `"assignment"` sorts before every header key, so it goes first.
+fn with_assignment(header: &Json, colors: Option<&[u32]>) -> String {
+    let header = header.to_string();
+    let Some(colors) = colors else {
+        return header;
+    };
+    debug_assert!(header.starts_with('{') && &header[1..] > "\"assignment\"");
+    let widest = colors.iter().max().map_or(1, |c| c.to_string().len());
+    // `{"assignment":[` and `],` stand in for the header's `{`.
+    let mut out = Vec::with_capacity(header.len() + 16 + colors.len() * (widest + 1));
+    out.extend_from_slice(b"{\"assignment\":[");
+    for (i, &c) in colors.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        push_decimal(&mut out, c);
+    }
+    out.extend_from_slice(b"],");
+    out.extend_from_slice(&header.as_bytes()[1..]);
+    String::from_utf8(out).expect("ASCII digits spliced into a UTF-8 header")
+}
+
+/// Appends `x` in plain decimal.
+fn push_decimal(out: &mut Vec<u8>, mut x: u32) {
+    let mut digits = [0u8; 10];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
         }
     }
-    o.to_string()
+    out.extend_from_slice(&digits[i..]);
 }
 
 /// Renders the response to a `mutate`: how many vertices the batch
@@ -466,6 +500,18 @@ pub fn recolor_response(
     coloring: &Coloring,
     assignment: bool,
 ) -> String {
+    let header = recolor_header(id, source, repaired, fingerprint, coloring);
+    with_assignment(&header, assignment.then_some(coloring.colors.as_slice()))
+}
+
+/// Every field of [`recolor_response`] except the assignment.
+fn recolor_header(
+    id: Option<u64>,
+    source: &str,
+    repaired: usize,
+    fingerprint: Fingerprint,
+    coloring: &Coloring,
+) -> Json {
     let mut o = obj([
         ("ok", Json::Bool(true)),
         ("source", Json::Str(source.into())),
@@ -477,21 +523,7 @@ pub fn recolor_response(
         ("modeled_ms", Json::Num(coloring.total_ms())),
     ]);
     with_id(&mut o, id);
-    if assignment {
-        if let Json::Obj(m) = &mut o {
-            m.insert(
-                "assignment".into(),
-                Json::Arr(
-                    coloring
-                        .colors
-                        .iter()
-                        .map(|&c| Json::Num(c as f64))
-                        .collect(),
-                ),
-            );
-        }
-    }
-    o.to_string()
+    o
 }
 
 /// Renders the final response to a `load`: the resolved format and the
@@ -602,6 +634,7 @@ fn with_id(o: &mut Json, id: Option<u64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::ResultSource;
 
     #[test]
     fn parses_inline_color_request() {
@@ -867,6 +900,150 @@ mod tests {
         ] {
             assert!(Request::parse(line).is_err(), "{line:?} should fail");
         }
+    }
+
+    /// The response as a `Json` tree renders it, assignment included:
+    /// the oracle the streamed assignment is pinned against.
+    fn tree_rendering(mut header: Json, colors: Option<&[u32]>) -> String {
+        if let (Json::Obj(m), Some(colors)) = (&mut header, colors) {
+            let arr = colors.iter().map(|&c| Json::Num(c as f64)).collect();
+            m.insert("assignment".into(), Json::Arr(arr));
+        }
+        header.to_string()
+    }
+
+    fn coloring(k: usize, colors: Vec<u32>, modeled_ms: f64) -> Coloring {
+        let mut profile = gcol_simt::RunProfile::new();
+        profile.host("kernel", modeled_ms);
+        Coloring {
+            scheme: Scheme::ALL[k % Scheme::ALL.len()],
+            num_colors: colors.iter().copied().max().unwrap_or(0) as usize,
+            colors,
+            iterations: k,
+            profile,
+        }
+    }
+
+    fn sample_plan(predicted_ms: f64) -> Plan {
+        Plan {
+            scheme: Scheme::DataAtomic,
+            backend: BackendKind::Native,
+            num_shards: 2,
+            exchange: ExchangeKind::Delta,
+            predicted_ms,
+            predicted_colors: 11.5,
+        }
+    }
+
+    /// Edge values (`0`, `9`, `10`, `u32::MAX`) mixed with small and
+    /// full-range colors.
+    fn color_value() -> impl proptest::Strategy<Value = u32> {
+        use proptest::Strategy;
+        (0u8..6, proptest::any::<u32>()).prop_map(|(k, x)| match k {
+            0 => 0,
+            1 => 9,
+            2 => 10,
+            3 => u32::MAX,
+            4 => x % 1000,
+            _ => x,
+        })
+    }
+
+    /// Checks one rendering against its oracle and the strict parser.
+    fn assert_streamed(line: &str, oracle: String, colors: &[u32], assignment: bool) {
+        assert_eq!(line, oracle);
+        assert!(!line.contains('\n'));
+        let v = crate::json::parse(line).unwrap();
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+        let parsed: Option<Vec<u64>> = v.get("assignment").map(|a| {
+            a.as_arr()
+                .unwrap()
+                .iter()
+                .map(|x| x.as_u64().unwrap())
+                .collect()
+        });
+        let expected = assignment.then(|| colors.iter().map(|&c| c as u64).collect());
+        assert_eq!(parsed, expected);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn streamed_ok_response_matches_the_tree(
+            colors in proptest::collection::vec(color_value(), 0..24),
+            (id, with_id, with_plan, assignment) in (
+                proptest::any::<u64>(),
+                proptest::any::<bool>(),
+                proptest::any::<bool>(),
+                proptest::any::<bool>(),
+            ),
+            (k, ms) in (0usize..64, 0u32..1_000_000),
+        ) {
+            let id = with_id.then_some(id % 1_000_000);
+            let r = JobResponse {
+                coloring: std::sync::Arc::new(coloring(k, colors.clone(), ms as f64 / 7.0)),
+                source: [ResultSource::Cold, ResultSource::CacheHit, ResultSource::Coalesced][k % 3],
+                fingerprint: Fingerprint(u128::from(id.unwrap_or(0)) << 64 | ms as u128),
+                queue_ms: ms as f64 / 1000.0,
+                exec_ms: k as f64,
+                total_ms: ms as f64 / 3.0,
+            };
+            let plan = sample_plan(ms as f64 / 13.0);
+            let plan = with_plan.then_some((Slo::balanced(), &plan));
+            let line = ok_response(id, &r, assignment, plan);
+            let oracle = tree_rendering(ok_header(id, &r, plan), assignment.then_some(&colors[..]));
+            assert_streamed(&line, oracle, &colors, assignment);
+        }
+
+        #[test]
+        fn streamed_recolor_response_matches_the_tree(
+            colors in proptest::collection::vec(color_value(), 0..24),
+            (id, with_id, assignment, repaired) in (
+                proptest::any::<u64>(),
+                proptest::any::<bool>(),
+                proptest::any::<bool>(),
+                0usize..100_000,
+            ),
+            (k, ms) in (0usize..64, 0u32..1_000_000),
+        ) {
+            let id = with_id.then_some(id % 1_000_000);
+            let c = coloring(k, colors.clone(), ms as f64 / 7.0);
+            let source = ["delta", "scratch", "session"][k % 3];
+            let fp = Fingerprint(u128::from(ms) << 32 | repaired as u128);
+            let line = recolor_response(id, source, repaired, fp, &c, assignment);
+            let oracle = tree_rendering(
+                recolor_header(id, source, repaired, fp, &c),
+                assignment.then_some(&colors[..]),
+            );
+            assert_streamed(&line, oracle, &colors, assignment);
+        }
+    }
+
+    #[test]
+    fn streamed_assignment_edge_cases() {
+        for colors in [vec![], vec![0, 9, 10, u32::MAX], vec![1; 3]] {
+            let c = coloring(1, colors.clone(), 0.5);
+            for id in [None, Some(0), Some(42)] {
+                let fp = Fingerprint(7);
+                let line = recolor_response(id, "delta", 3, fp, &c, true);
+                let oracle =
+                    tree_rendering(recolor_header(id, "delta", 3, fp, &c), Some(&colors[..]));
+                assert_streamed(&line, oracle, &colors, true);
+            }
+        }
+        let c = coloring(0, vec![0, 9, 10, u32::MAX], 0.0);
+        let line = recolor_response(None, "session", 0, Fingerprint(1), &c, true);
+        assert!(line.starts_with(r#"{"assignment":[0,9,10,4294967295],"colors":4294967295,"#));
+        let empty = recolor_response(
+            None,
+            "session",
+            0,
+            Fingerprint(1),
+            &coloring(0, vec![], 0.0),
+            true,
+        );
+        assert!(empty.starts_with(r#"{"assignment":[],"colors":0,"#));
     }
 
     #[test]

@@ -395,6 +395,17 @@ where
                         proto::error_response(id, proto::rejection_code(&rej), &rej.to_string()),
                     )?,
                     Ok(handle) => {
+                        // Join the responders that have written their line,
+                        // so their threads' resources go now, not at the
+                        // end of the connection.
+                        let mut i = 0;
+                        while i < responders.len() {
+                            if responders[i].is_finished() {
+                                let _ = responders.swap_remove(i).join();
+                            } else {
+                                i += 1;
+                            }
+                        }
                         let writer = Arc::clone(&writer);
                         responders.push(thread::spawn(move || {
                             let line = match handle.wait() {

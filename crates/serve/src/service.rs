@@ -456,7 +456,7 @@ impl Service {
     /// is empty. The embedding/test-mode complement to the worker pool
     /// (harmless but usually pointless when workers are running).
     pub fn drain(&self) {
-        while process_one(&self.inner, false) {}
+        while process_one(&self.inner) {}
     }
 
     /// Stops accepting new submissions — they are rejected with
@@ -593,14 +593,12 @@ fn worker_loop(inner: &Inner) {
                 return;
             }
         }
-        process_one(inner, true);
+        process_one(inner);
     }
 }
 
 /// Dequeues and runs one execution. Returns false if the queue was empty.
-/// `from_worker` only affects nothing today but keeps the call sites
-/// honest about who is draining.
-fn process_one(inner: &Inner, _from_worker: bool) -> bool {
+fn process_one(inner: &Inner) -> bool {
     let started = Instant::now();
     let (fp, graph, spec, queue_wait_ms) = {
         let mut st = inner.state.lock().unwrap();

@@ -13,6 +13,9 @@
 //! launches over the dirty set, so its kernel work scales with the
 //! batch, not the graph.
 //!
+//! The edit itself (`Csr::with_edits`, the rebuild a served `mutate`
+//! pays before its repair) is timed the same way, in its own column.
+//!
 //! Every repaired coloring is verified proper and bit-identical to the
 //! baseline outside the touched set. `--smoke` runs the CI gate on the
 //! simt backend: at the 1% batch, no scheme's delta repair may issue
@@ -38,6 +41,9 @@ struct Row {
     batch_permille: u32,
     edits: usize,
     touched: usize,
+    /// Wall time of `Csr::with_edits` for the batch — the graph rebuild
+    /// a served edit pays before either recoloring path runs.
+    edit_wall_ms: f64,
     scratch_wall_ms: f64,
     delta_wall_ms: f64,
     wall_speedup: f64,
@@ -122,6 +128,7 @@ pub fn run(cfg: &ExpConfig) -> String {
         "batch".to_string(),
         "edits".to_string(),
         "touched".to_string(),
+        "edit ms".to_string(),
         format!("scratch ms ({})", cfg.backend),
         format!("delta ms ({})", cfg.backend),
         "speedup".to_string(),
@@ -141,7 +148,15 @@ pub fn run(cfg: &ExpConfig) -> String {
         for &permille in &BATCH_PERMILLE {
             let target = ((undirected as u64 * permille as u64) / 1000).max(2) as usize;
             let batch = edit_batch(&g, target, 0xD1A_0000 | permille as u64);
-            let (edited, touched) = g.with_edits(&batch).expect("generated batch is valid");
+            let mut edit = None;
+            let mut edit_wall_ms = f64::INFINITY;
+            for _ in 0..repeats {
+                let t0 = Instant::now();
+                let r = g.with_edits(&batch).expect("generated batch is valid");
+                edit_wall_ms = edit_wall_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+                edit = Some(r);
+            }
+            let (edited, touched) = edit.unwrap();
 
             let mut scratch = None;
             let mut scratch_wall_ms = f64::INFINITY;
@@ -181,6 +196,7 @@ pub fn run(cfg: &ExpConfig) -> String {
                 batch_permille: permille,
                 edits: batch.len(),
                 touched: touched.len(),
+                edit_wall_ms,
                 scratch_wall_ms,
                 delta_wall_ms,
                 wall_speedup: scratch_wall_ms / delta_wall_ms,
@@ -196,6 +212,7 @@ pub fn run(cfg: &ExpConfig) -> String {
                 format!("{:.1}%", permille as f64 / 10.0),
                 row.edits.to_string(),
                 row.touched.to_string(),
+                f(row.edit_wall_ms, 2),
                 f(row.scratch_wall_ms, 2),
                 f(row.delta_wall_ms, 2),
                 speedup(row.wall_speedup),
@@ -210,8 +227,9 @@ pub fn run(cfg: &ExpConfig) -> String {
     let mut report = format!(
         "Incremental recoloring — rmat-er scale {} ({} vertices, {} undirected\n\
          edges) on the {} backend. Each batch is half deletes, half fresh\n\
-         inserts; 'touched' is the dirty set the repair engine consumed. Every\n\
-         delta coloring is verified proper and bit-identical to the baseline\n\
+         inserts; 'touched' is the dirty set the repair engine consumed, and\n\
+         'edit ms' the graph rebuild (Csr::with_edits) both paths need first.\n\
+         Every delta coloring is verified proper and bit-identical to the baseline\n\
          outside the touched set. Expected shape: delta wall time and kernel\n\
          work scale with the batch, from-scratch with the graph, so the\n\
          speedup shrinks as the batch grows.\n\n{}",
@@ -264,6 +282,7 @@ mod tests {
         for pct in ["0.1%", "1.0%", "5.0%"] {
             assert!(out.contains(pct), "missing batch column {pct}");
         }
+        assert!(out.contains("edit ms"), "missing edit column");
     }
 
     #[test]

@@ -31,9 +31,11 @@ pub struct SpecGreedyDriver<'b, B: Backend> {
 }
 
 impl<'b, B: Backend> SpecGreedyDriver<'b, B> {
-    /// Uploads `g` and prepares an empty profile for `scheme`.
+    /// Uploads `g` and prepares an empty profile for `scheme`. The arena
+    /// tracks initialization of uninitialized buffers only if the backend
+    /// reads that shadow (the sanitizer).
     pub fn new(backend: &'b B, scheme: Scheme, g: &Csr, opts: &ColorOptions) -> Self {
-        let mut mem = GpuMem::new();
+        let mut mem = GpuMem::with_init_shadow(backend.reads_init_shadow());
         let gg = GpuGraph::upload(&mut mem, g);
         Self {
             backend,
@@ -58,6 +60,7 @@ impl<'b, B: Backend> SpecGreedyDriver<'b, B> {
     /// `cudaMalloc`): functionally zeroed like
     /// [`SpecGreedyDriver::alloc_vertex_buf`], but the sanitizer backend
     /// flags any read of a word no kernel or host write has touched.
+    /// Other backends get a plain zeroed buffer and no shadow.
     /// Used for the worklists every entry of which is written before
     /// being read.
     pub fn alloc_vertex_buf_uninit(&mut self) -> Buffer<u32> {
@@ -174,8 +177,11 @@ impl<'b, B: Backend> SpecGreedyDriver<'b, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcol_graph::gen::simple::cycle;
-    use gcol_simt::{Device, ExecMode, SimtBackend};
+    use gcol_graph::gen::simple::{cycle, erdos_renyi};
+    use gcol_simt::{
+        Device, ExecMode, FindingKind, KernelCtx, NativeBackend, SanitizeBackend, SimtBackend,
+    };
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn driver<'b>(
         backend: &'b SimtBackend<'_>,
@@ -241,5 +247,139 @@ mod tests {
             })
             .unwrap();
         assert_eq!(iters, 4);
+    }
+
+    /// Forwards everything to `inner`, noting whether any launch ran on
+    /// an arena that carries the initialized-word shadow.
+    struct ShadowProbe<B> {
+        inner: B,
+        launches: AtomicUsize,
+        saw_shadow: AtomicBool,
+    }
+
+    impl<B: Backend> ShadowProbe<B> {
+        fn new(inner: B) -> Self {
+            Self {
+                inner,
+                launches: AtomicUsize::new(0),
+                saw_shadow: AtomicBool::new(false),
+            }
+        }
+
+        fn observe(&self, mem: &GpuMem) {
+            self.launches.fetch_add(1, Ordering::Relaxed);
+            self.saw_shadow
+                .fetch_or(mem.tracks_init(), Ordering::Relaxed);
+        }
+    }
+
+    impl<B: Backend> Backend for ShadowProbe<B> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn launch<K: Kernel>(
+            &self,
+            mem: &GpuMem,
+            grid: u32,
+            block_threads: u32,
+            kernel: &K,
+            profile: &mut RunProfile,
+        ) {
+            self.observe(mem);
+            self.inner.launch(mem, grid, block_threads, kernel, profile);
+        }
+
+        fn launch_coop<K: CoopKernel>(
+            &self,
+            mem: &GpuMem,
+            grid: u32,
+            block_threads: u32,
+            kernel: &K,
+            profile: &mut RunProfile,
+        ) -> u32 {
+            self.observe(mem);
+            self.inner
+                .launch_coop(mem, grid, block_threads, kernel, profile)
+        }
+
+        fn transfer(&self, label: &'static str, bytes: usize, profile: &mut RunProfile) {
+            self.inner.transfer(label, bytes, profile);
+        }
+
+        fn transfer_cost_ms(&self, bytes: usize) -> Option<f64> {
+            self.inner.transfer_cost_ms(bytes)
+        }
+
+        fn reads_init_shadow(&self) -> bool {
+            self.inner.reads_init_shadow()
+        }
+    }
+
+    /// Whether any launch of a D-base run on `backend` saw the shadow.
+    fn d_base_saw_shadow<B: Backend>(backend: B) -> bool {
+        let probe = ShadowProbe::new(backend);
+        let g = erdos_renyi(300, 1500, 3);
+        Scheme::DataBase
+            .try_color_on(&probe, &g, &ColorOptions::default())
+            .expect("D-base converges");
+        assert!(probe.launches.load(Ordering::Relaxed) > 0);
+        probe.saw_shadow.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn only_the_sanitizer_gets_an_init_shadow() {
+        // D-base allocates its worklists with `alloc_uninit`, the call
+        // that builds the shadow on an arena that tracks initialization.
+        let dev = Device::tiny();
+        assert!(!d_base_saw_shadow(NativeBackend::new()));
+        assert!(!d_base_saw_shadow(SimtBackend::new(
+            &dev,
+            ExecMode::Deterministic
+        )));
+        assert!(d_base_saw_shadow(SanitizeBackend::new(SimtBackend::new(
+            &dev,
+            ExecMode::Deterministic
+        ))));
+    }
+
+    /// One thread loads word `word` of `buf`.
+    struct ReadWord {
+        buf: Buffer<u32>,
+        word: usize,
+    }
+
+    impl Kernel for ReadWord {
+        fn name(&self) -> &'static str {
+            "read-word"
+        }
+        fn run(&self, t: &mut impl KernelCtx) {
+            if t.global_id() == 0 {
+                let _ = t.ld(self.buf, self.word);
+            }
+        }
+    }
+
+    #[test]
+    fn sanitizer_reports_read_before_init_through_the_driver() {
+        let dev = Device::tiny();
+        let backend = SanitizeBackend::new(SimtBackend::new(&dev, ExecMode::Deterministic));
+        let opts = ColorOptions::default();
+        let g = cycle(10);
+        let mut d = SpecGreedyDriver::new(&backend, Scheme::DataBase, &g, &opts);
+        let w = d.alloc_vertex_buf_uninit();
+        d.label(w, "worklist");
+        d.mem.write_slice(w, &[4, 5, 6]); // h2d seeds words 0..3
+        assert!(d.mem.tracks_init());
+        d.launch(1, &ReadWord { buf: w, word: 2 });
+        assert!(backend.take_report().findings.is_empty());
+        d.launch(1, &ReadWord { buf: w, word: 7 });
+        let report = backend.take_report();
+        let f = report
+            .findings
+            .iter()
+            .find(|f| f.kind == FindingKind::UninitRead)
+            .expect("read-before-init is reported");
+        assert_eq!((f.buffer.as_str(), f.word), ("worklist", 7));
     }
 }

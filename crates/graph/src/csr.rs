@@ -64,25 +64,7 @@ impl Csr {
 
     /// Fallible constructor; returns a description of the violated invariant.
     pub fn try_new(row_offsets: Vec<u32>, col_indices: Vec<VertexId>) -> Result<Self, CsrError> {
-        if row_offsets.is_empty() {
-            return Err(CsrError::EmptyOffsets);
-        }
-        if row_offsets[0] != 0 {
-            return Err(CsrError::FirstOffsetNonZero(row_offsets[0]));
-        }
-        if *row_offsets.last().unwrap() as usize != col_indices.len() {
-            return Err(CsrError::LastOffsetMismatch {
-                last: *row_offsets.last().unwrap(),
-                edges: col_indices.len(),
-            });
-        }
-        if let Some(i) = row_offsets.windows(2).position(|w| w[0] > w[1]) {
-            return Err(CsrError::DecreasingOffsets(i));
-        }
-        let n = (row_offsets.len() - 1) as u32;
-        if let Some(&w) = col_indices.iter().find(|&&w| w >= n) {
-            return Err(CsrError::NeighborOutOfRange { neighbor: w, n });
-        }
+        Self::check(&row_offsets, &col_indices)?;
         Ok(Self {
             row_offsets,
             col_indices,
@@ -185,7 +167,33 @@ impl Csr {
 
     /// Re-checks all structural invariants; useful after IO.
     pub fn validate(&self) -> Result<(), CsrError> {
-        Self::try_new(self.row_offsets.clone(), self.col_indices.clone()).map(|_| ())
+        Self::check(&self.row_offsets, &self.col_indices)
+    }
+
+    /// The invariant check behind [`Csr::try_new`] and [`Csr::validate`],
+    /// in place over the raw arrays.
+    fn check(row_offsets: &[u32], col_indices: &[VertexId]) -> Result<(), CsrError> {
+        let (&first, &last) = match (row_offsets.first(), row_offsets.last()) {
+            (Some(first), Some(last)) => (first, last),
+            _ => return Err(CsrError::EmptyOffsets),
+        };
+        if first != 0 {
+            return Err(CsrError::FirstOffsetNonZero(first));
+        }
+        if last as usize != col_indices.len() {
+            return Err(CsrError::LastOffsetMismatch {
+                last,
+                edges: col_indices.len(),
+            });
+        }
+        if let Some(i) = row_offsets.windows(2).position(|w| w[0] > w[1]) {
+            return Err(CsrError::DecreasingOffsets(i));
+        }
+        let n = (row_offsets.len() - 1) as u32;
+        if let Some(&w) = col_indices.iter().find(|&&w| w >= n) {
+            return Err(CsrError::NeighborOutOfRange { neighbor: w, n });
+        }
+        Ok(())
     }
 
     /// Returns the transpose graph (reverse of every edge). For symmetric
@@ -416,6 +424,30 @@ mod tests {
             Csr::try_new(vec![0, 1], vec![5]).unwrap_err(),
             CsrError::NeighborOutOfRange { neighbor: 5, n: 1 }
         ));
+    }
+
+    #[test]
+    fn validate_reports_what_try_new_reports() {
+        let cases: [(Vec<u32>, Vec<VertexId>); 6] = [
+            (vec![], vec![]),
+            (vec![1, 1], vec![0]),
+            (vec![0, 2], vec![0]),
+            (vec![0, 2, 1, 3], vec![0, 0, 0]),
+            (vec![0, 1], vec![5]),
+            (
+                vec![0, 2, 6, 9, 11, 14],
+                fig2_graph().col_indices().to_vec(),
+            ),
+        ];
+        for (r, c) in cases {
+            // Private fields let the test hold arrays try_new would refuse.
+            let raw = Csr {
+                row_offsets: r.clone(),
+                col_indices: c.clone(),
+                fingerprint: OnceLock::new(),
+            };
+            assert_eq!(raw.validate(), Csr::try_new(r, c).map(|_| ()));
+        }
     }
 
     #[test]

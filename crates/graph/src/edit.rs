@@ -7,17 +7,28 @@
 //! adjacency actually changed — which is the dirty set the repair engine
 //! consumes.
 //!
+//! The edit is a **sorted merge**, linear in the graph and free of
+//! per-row allocations: the batch is expanded to directed `(row, col)`
+//! ops and sorted; the last op on each pair decides its final state,
+//! which is a net change only if a binary search of the original row
+//! disagrees. The new `R` is the old one shifted by a running size delta,
+//! and the new `C` bulk-copies every untouched span and merges each
+//! touched row with its sorted changes. [`Csr::with_edits`] builds from
+//! the borrowed graph without cloning it. The binary search needs each
+//! named row sorted and duplicate-free; a batch naming a row that is not
+//! (possible only for a hand-written CSR) is rejected with
+//! [`EditError::UnsortedRow`] rather than merged wrongly.
+//!
 //! The mutation is **fingerprint-stable**: the rebuilt CSR is
 //! byte-identical to building a fresh graph from the post-edit edge set
 //! with [`crate::builder::CsrBuilder`] (sorted, duplicate-free,
 //! symmetric adjacency, same `R`/`C` layout), so
 //! [`Csr::content_fingerprint`] — the service cache key — agrees no
 //! matter whether a graph arrived at its edge set by construction or by
-//! edits. The proptests in `tests/proptests.rs` pin this equivalence.
+//! edits. The proptests in `tests/proptests.rs` pin this equivalence,
+//! and pin the merge byte for byte against a per-row set-rebuild oracle.
 
 use crate::csr::{Csr, CsrError, VertexId};
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// One undirected edge edit. Both directions of the edge are affected:
@@ -57,6 +68,11 @@ pub enum EditError {
     /// Both endpoints were the same vertex; the CSR invariants exclude
     /// self-loops.
     SelfLoop(VertexId),
+    /// The adjacency row of a vertex the batch names is not sorted and
+    /// duplicate-free, so edge presence cannot be decided by binary
+    /// search. Builder- and ingest-produced graphs never hit this; a
+    /// hand-written CSR (such as an inline graph sent to the server) can.
+    UnsortedRow(VertexId),
 }
 
 impl fmt::Display for EditError {
@@ -66,6 +82,12 @@ impl fmt::Display for EditError {
                 write!(f, "edit endpoint {vertex} out of range (n = {n})")
             }
             EditError::SelfLoop(v) => write!(f, "self-loop edit on vertex {v}"),
+            EditError::UnsortedRow(v) => {
+                write!(
+                    f,
+                    "adjacency of vertex {v} is not sorted and duplicate-free"
+                )
+            }
         }
     }
 }
@@ -84,7 +106,33 @@ impl Csr {
     /// (sorted unique symmetric adjacency) and is byte-identical to a
     /// fresh [`crate::builder::CsrBuilder`] build of the post-edit edge
     /// set, so content fingerprints are path-independent.
+    ///
+    /// Every row the batch names must be sorted and duplicate-free, as
+    /// in every builder- or ingest-produced graph, because presence is
+    /// decided by binary search. Each named row is checked once, and a
+    /// row that fails rejects the batch with [`EditError::UnsortedRow`].
     pub fn apply_edits(&mut self, edits: &[EdgeEdit]) -> Result<Vec<VertexId>, EditError> {
+        Ok(match self.edited(edits)? {
+            Some((g, touched)) => {
+                *self = g;
+                touched
+            }
+            None => Vec::new(),
+        })
+    }
+
+    /// Non-mutating variant of [`Csr::apply_edits`]: returns the edited
+    /// graph and its touched-vertex set, built from the borrowed graph
+    /// (a batch with no net change returns a clone).
+    pub fn with_edits(&self, edits: &[EdgeEdit]) -> Result<(Csr, Vec<VertexId>), EditError> {
+        Ok(self
+            .edited(edits)?
+            .unwrap_or_else(|| (self.clone(), Vec::new())))
+    }
+
+    /// Validates `edits`, then builds the edited graph in one linear
+    /// pass: `None` when the batch has no net change.
+    fn edited(&self, edits: &[EdgeEdit]) -> Result<Option<(Csr, Vec<VertexId>)>, EditError> {
         let n = self.num_vertices();
         for e in edits {
             let (u, v) = e.endpoints();
@@ -98,66 +146,79 @@ impl Csr {
             }
         }
 
-        // Materialize a sorted-set view of each row an edit names, apply
-        // the batch in order, then compare against the original row to
-        // decide whether the vertex was genuinely touched.
-        let mut rows: BTreeMap<VertexId, BTreeSet<VertexId>> = BTreeMap::new();
-        let row = |g: &Csr, rows: &mut BTreeMap<VertexId, BTreeSet<VertexId>>, v: VertexId| {
-            if let Entry::Vacant(slot) = rows.entry(v) {
-                slot.insert(g.neighbors(v).iter().copied().collect());
-            }
-        };
-        for e in edits {
+        // Both orientations of every edit as (row, col, batch index,
+        // insert); sorting groups each directed pair with its ops in batch
+        // order, so the last op of a group decides the pair's final state.
+        let mut ops: Vec<(VertexId, VertexId, usize, bool)> = Vec::with_capacity(2 * edits.len());
+        for (i, e) in edits.iter().enumerate() {
             let (u, v) = e.endpoints();
-            row(self, &mut rows, u);
-            row(self, &mut rows, v);
-            match *e {
-                EdgeEdit::Insert(u, v) => {
-                    rows.get_mut(&u).unwrap().insert(v);
-                    rows.get_mut(&v).unwrap().insert(u);
-                }
-                EdgeEdit::Delete(u, v) => {
-                    rows.get_mut(&u).unwrap().remove(&v);
-                    rows.get_mut(&v).unwrap().remove(&u);
-                }
-            }
+            let insert = matches!(e, EdgeEdit::Insert(..));
+            ops.push((u, v, i, insert));
+            ops.push((v, u, i, insert));
         }
-        let touched: Vec<VertexId> = rows
-            .iter()
-            .filter(|(&v, set)| {
-                set.len() != self.degree(v)
-                    || !set.iter().copied().eq(self.neighbors(v).iter().copied())
-            })
-            .map(|(&v, _)| v)
-            .collect();
-        if touched.is_empty() {
-            return Ok(touched);
-        }
+        ops.sort_unstable();
 
-        // Rebuild R/C, splicing the edited rows in; untouched rows are
-        // copied verbatim, so the result is exactly what a fresh build of
-        // the post-edit edge set would produce.
-        let mut new_r = Vec::with_capacity(n + 1);
-        new_r.push(0u32);
-        let mut new_c: Vec<VertexId> = Vec::with_capacity(self.num_edges());
-        for v in 0..n as VertexId {
-            match rows.get(&v) {
-                Some(set) => new_c.extend(set.iter().copied()),
-                None => new_c.extend_from_slice(self.neighbors(v)),
+        // Net changes, ascending by (row, col): a pair changes only when
+        // its final state differs from the original row. Each named row is
+        // checked to be sorted and duplicate-free before its first search.
+        let mut changes: Vec<(VertexId, VertexId, bool)> = Vec::new();
+        let mut inserts = 0usize;
+        let mut checked = None;
+        for pair_ops in ops.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (row, col, _, insert) = pair_ops[pair_ops.len() - 1];
+            if checked != Some(row) {
+                if !self.neighbors(row).windows(2).all(|w| w[0] < w[1]) {
+                    return Err(EditError::UnsortedRow(row));
+                }
+                checked = Some(row);
             }
-            new_r.push(new_c.len() as u32);
+            if insert != self.neighbors(row).binary_search(&col).is_ok() {
+                inserts += insert as usize;
+                changes.push((row, col, insert));
+            }
         }
-        *self = Csr::try_new(new_r, new_c)
+        if changes.is_empty() {
+            return Ok(None);
+        }
+        let mut touched: Vec<VertexId> = changes.iter().map(|&(row, _, _)| row).collect();
+        touched.dedup();
+
+        // Untouched spans are bulk-copied with their offsets shifted by
+        // the running size delta; each touched row is merged with its
+        // sorted changes. The result is exactly what a fresh build of the
+        // post-edit edge set would produce.
+        let (r, c) = (self.row_offsets(), self.col_indices());
+        let deletes = changes.len() - inserts;
+        let mut new_r: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut new_c: Vec<VertexId> = Vec::with_capacity(c.len() + inserts - deletes);
+        let shift = |delta: i64| move |&o: &u32| (o as i64 + delta) as u32;
+        let mut delta = 0i64;
+        let mut next = 0usize;
+        for row_changes in changes.chunk_by(|a, b| a.0 == b.0) {
+            let row = row_changes[0].0 as usize;
+            new_r.extend(r[next..=row].iter().map(shift(delta)));
+            new_c.extend_from_slice(&c[r[next] as usize..r[row] as usize]);
+            let old = self.neighbors(row as VertexId);
+            let mut i = 0;
+            for &(_, col, insert) in row_changes {
+                let at = i + old[i..].partition_point(|&w| w < col);
+                new_c.extend_from_slice(&old[i..at]);
+                if insert {
+                    new_c.push(col);
+                    i = at;
+                } else {
+                    i = at + 1;
+                }
+            }
+            new_c.extend_from_slice(&old[i..]);
+            delta = new_c.len() as i64 - r[row + 1] as i64;
+            next = row + 1;
+        }
+        new_r.extend(r[next..].iter().map(shift(delta)));
+        new_c.extend_from_slice(&c[r[next] as usize..]);
+        let g = Csr::try_new(new_r, new_c)
             .unwrap_or_else(|e: CsrError| unreachable!("apply_edits produced an invalid CSR: {e}"));
-        Ok(touched)
-    }
-
-    /// Non-mutating variant of [`Csr::apply_edits`]: returns the edited
-    /// graph and its touched-vertex set, leaving `self` alone.
-    pub fn with_edits(&self, edits: &[EdgeEdit]) -> Result<(Csr, Vec<VertexId>), EditError> {
-        let mut g = self.clone();
-        let touched = g.apply_edits(edits)?;
-        Ok((g, touched))
+        Ok(Some((g, touched)))
     }
 }
 
@@ -240,6 +301,30 @@ mod tests {
             Err(EditError::SelfLoop(3))
         );
         assert_eq!(g, before);
+    }
+
+    #[test]
+    fn unsorted_or_duplicate_named_rows_are_rejected() {
+        // Row 0 is [2, 1]: binary search cannot find 1 in it, so merging
+        // would drop the wrong neighbour.
+        let mut g = Csr::new(vec![0, 2, 3, 4], vec![2, 1, 0, 0]);
+        let before = g.clone();
+        assert_eq!(
+            g.apply_edits(&[EdgeEdit::Delete(0, 1)]),
+            Err(EditError::UnsortedRow(0))
+        );
+        assert_eq!(g, before);
+        // A duplicate neighbour is rejected the same way, whichever
+        // endpoint names the row.
+        let dup = Csr::new(vec![0, 2, 2, 4], vec![2, 2, 0, 0]);
+        assert_eq!(
+            dup.with_edits(&[EdgeEdit::Insert(1, 0)]),
+            Err(EditError::UnsortedRow(0))
+        );
+        // Rows the batch does not name are copied as they are.
+        let (h, touched) = before.with_edits(&[EdgeEdit::Insert(1, 2)]).unwrap();
+        assert_eq!(touched, vec![1, 2]);
+        assert_eq!(h.neighbors(0), &[2, 1]);
     }
 
     #[test]

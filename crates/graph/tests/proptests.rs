@@ -388,3 +388,145 @@ proptest! {
         prop_assert_eq!(restored.content_fingerprint(), g.content_fingerprint());
     }
 }
+
+/// The per-row set rebuild `Csr::with_edits` used before the sorted
+/// merge, kept as the oracle the merge must match byte for byte: every
+/// row an edit names becomes a `BTreeSet`, the batch is applied in
+/// order, and `R`/`C` are rebuilt from the sets.
+fn set_rebuild_oracle(g: &Csr, edits: &[gcol_graph::edit::EdgeEdit]) -> (Csr, Vec<VertexId>) {
+    use gcol_graph::edit::EdgeEdit;
+    use std::collections::{BTreeMap, BTreeSet};
+    let mut rows: BTreeMap<VertexId, BTreeSet<VertexId>> = BTreeMap::new();
+    for e in edits {
+        let (u, v) = e.endpoints();
+        for w in [u, v] {
+            rows.entry(w)
+                .or_insert_with(|| g.neighbors(w).iter().copied().collect());
+        }
+        match *e {
+            EdgeEdit::Insert(u, v) => {
+                rows.get_mut(&u).unwrap().insert(v);
+                rows.get_mut(&v).unwrap().insert(u);
+            }
+            EdgeEdit::Delete(u, v) => {
+                rows.get_mut(&u).unwrap().remove(&v);
+                rows.get_mut(&v).unwrap().remove(&u);
+            }
+        }
+    }
+    let touched: Vec<VertexId> = rows
+        .iter()
+        .filter(|(&v, set)| !set.iter().copied().eq(g.neighbors(v).iter().copied()))
+        .map(|(&v, _)| v)
+        .collect();
+    if touched.is_empty() {
+        return (g.clone(), touched);
+    }
+    let mut r = vec![0u32];
+    let mut c: Vec<VertexId> = Vec::new();
+    for v in g.vertices() {
+        match rows.get(&v) {
+            Some(set) => c.extend(set.iter().copied()),
+            None => c.extend_from_slice(g.neighbors(v)),
+        }
+        r.push(c.len() as u32);
+    }
+    (Csr::new(r, c), touched)
+}
+
+/// Runs `edits` through `with_edits` and `apply_edits` and pins both
+/// against [`set_rebuild_oracle`]: identical `R`, `C`, touched set and
+/// content fingerprint.
+fn check_edit_against_oracle(g: &Csr, edits: &[gcol_graph::edit::EdgeEdit]) {
+    let (want, want_touched) = set_rebuild_oracle(g, edits);
+    let (got, touched) = g.with_edits(edits).unwrap();
+    prop_assert_eq!(got.row_offsets(), want.row_offsets());
+    prop_assert_eq!(got.col_indices(), want.col_indices());
+    prop_assert_eq!(&touched, &want_touched);
+    prop_assert_eq!(got.content_fingerprint(), want.content_fingerprint());
+    let mut in_place = g.clone();
+    prop_assert_eq!(in_place.apply_edits(edits).unwrap(), want_touched);
+    prop_assert_eq!(in_place.row_offsets(), want.row_offsets());
+    prop_assert_eq!(in_place.col_indices(), want.col_indices());
+    prop_assert_eq!(in_place.content_fingerprint(), want.content_fingerprint());
+}
+
+/// Strategy: a small sparse graph (isolated vertices are common) and an
+/// edit batch drawn from so few pairs that repeated ops on one pair, in
+/// both orientations, are the norm rather than the exception.
+fn arb_dense_edit_inputs() -> impl Strategy<Value = EditInputs> {
+    (2usize..12).prop_flat_map(|n| {
+        let edge = (0..n as VertexId, 0..n as VertexId);
+        let edit = (any::<bool>(), 0..n as VertexId, 0..n as VertexId);
+        (
+            Just(n),
+            proptest::collection::vec(edge, 0..24),
+            proptest::collection::vec(edit, 0..48),
+        )
+    })
+}
+
+proptest! {
+    #[test]
+    fn merge_edit_matches_the_set_rebuild_oracle((n, edges, raw_edits) in arb_dense_edit_inputs()) {
+        use gcol_graph::edit::EdgeEdit;
+        let g = from_undirected_edges(n, edges);
+        let last = n as VertexId - 1;
+        let edits: Vec<EdgeEdit> = raw_edits.iter()
+            .filter(|&&(_, u, v)| u != v)
+            .map(|&(ins, u, v)| if ins { EdgeEdit::Insert(u, v) } else { EdgeEdit::Delete(u, v) })
+            .collect();
+        // The drawn batch, and the empty one.
+        check_edit_against_oracle(&g, &edits);
+        check_edit_against_oracle(&g, &[]);
+        // Each op undone by its opposite in the other orientation, and
+        // the drawn batch replayed reversed-and-negated after itself.
+        let flip = |e: &EdgeEdit| match *e {
+            EdgeEdit::Insert(u, v) => EdgeEdit::Delete(v, u),
+            EdgeEdit::Delete(u, v) => EdgeEdit::Insert(v, u),
+        };
+        let cancelling: Vec<EdgeEdit> = edits.iter().flat_map(|e| [*e, flip(e)]).collect();
+        check_edit_against_oracle(&g, &cancelling);
+        let undone: Vec<EdgeEdit> =
+            edits.iter().copied().chain(edits.iter().rev().map(flip)).collect();
+        check_edit_against_oracle(&g, &undone);
+        // All redundant: re-insert every present edge, delete every
+        // absent pair.
+        let mut redundant: Vec<EdgeEdit> = Vec::new();
+        for u in 0..n as VertexId {
+            for v in (0..n as VertexId).filter(|&v| v != u) {
+                redundant.push(if g.has_edge_sorted(u, v) {
+                    EdgeEdit::Insert(u, v)
+                } else {
+                    EdgeEdit::Delete(v, u)
+                });
+            }
+        }
+        check_edit_against_oracle(&g, &redundant);
+        prop_assert!(g.with_edits(&redundant).unwrap().1.is_empty());
+        // Vertex 0 and vertex n-1 drop to degree 0, then the drawn batch
+        // runs on top.
+        let mut strip: Vec<EdgeEdit> = g.neighbors(0).iter()
+            .map(|&w| EdgeEdit::Delete(0, w))
+            .chain(g.neighbors(last).iter().map(|&w| EdgeEdit::Delete(w, last)))
+            .collect();
+        let (stripped, _) = g.with_edits(&strip).unwrap();
+        prop_assert_eq!(stripped.degree(0), 0);
+        prop_assert_eq!(stripped.degree(last), 0);
+        check_edit_against_oracle(&g, &strip);
+        strip.extend_from_slice(&edits);
+        check_edit_against_oracle(&g, &strip);
+        // The edge {0, n-1} toggled repeatedly in alternating orientations.
+        let toggles: Vec<EdgeEdit> = (0..5)
+            .map(|k| match k % 4 {
+                0 => EdgeEdit::Insert(0, last),
+                1 => EdgeEdit::Delete(last, 0),
+                2 => EdgeEdit::Insert(last, 0),
+                _ => EdgeEdit::Delete(0, last),
+            })
+            .collect();
+        for len in 0..=toggles.len() {
+            check_edit_against_oracle(&g, &toggles[..len]);
+        }
+    }
+}

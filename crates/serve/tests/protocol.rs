@@ -267,6 +267,31 @@ fn session_verbs_fail_cleanly_without_a_session_graph() {
 }
 
 #[test]
+fn mutate_rejects_an_unsorted_inline_row() {
+    // Row 0 of the inline graph is [2, 1]. The edit is refused instead of
+    // merged into a wrong, asymmetric graph, and the session keeps the
+    // graph as it was sent.
+    let input = concat!(
+        r#"{"id":1,"op":"mutate","graph":{"r":[0,2,3,4],"c":[2,1,0,0]},"edits":[["-",0,1]]}"#,
+        "\n",
+        r#"{"id":2,"op":"mutate","edits":[["+",1,2]]}"#,
+        "\n",
+    );
+    let (lines, _) = run_session(input);
+    let resp = by_id(&lines);
+    assert_eq!(
+        resp[&1].get("error").and_then(Json::as_str),
+        Some("bad-edit")
+    );
+    assert!(resp[&1]
+        .get("detail")
+        .and_then(Json::as_str)
+        .is_some_and(|m| m.contains("vertex 0")));
+    // An edit that names only sorted rows still applies.
+    assert_eq!(resp[&2].get("touched").and_then(Json::as_u64), Some(2));
+}
+
+#[test]
 fn bad_lines_get_typed_errors_and_do_not_kill_the_session() {
     let input = concat!(
         "this is not json\n",

@@ -59,6 +59,14 @@ pub trait Backend: Sync {
     fn transfer_cost_ms(&self, _bytes: usize) -> Option<f64> {
         None
     }
+
+    /// Whether launches read the arena's initialized-word shadow (see
+    /// [`GpuMem::alloc_uninit`]). Scheme drivers build their [`GpuMem`]
+    /// with the shadow only when this holds, so backends that never look
+    /// at it pay nothing for it. Only the sanitizer reads it.
+    fn reads_init_shadow(&self) -> bool {
+        false
+    }
 }
 
 /// One device's asynchronous copy stream, for overlapping transfers with
@@ -218,8 +226,7 @@ impl Backend for NativeBackend {
 /// On the modeled K20c-era hardware peer-to-peer copies traverse the same
 /// PCIe fabric as host copies, so [`SimtBackend`] prices them
 /// identically, while [`NativeBackend`] keeps them free (shards share one
-/// address space on the host path). [`ShardedBackend::exchange`] remains
-/// for callers charging a serialized aggregate copy.
+/// address space on the host path).
 pub struct ShardedBackend<B: Backend> {
     devices: Vec<B>,
 }
@@ -248,12 +255,6 @@ impl<B: Backend> ShardedBackend<B> {
     /// The backend instance for shard/device `p`.
     pub fn device(&self, p: usize) -> &B {
         &self.devices[p]
-    }
-
-    /// Charges a modeled device-to-device exchange of `bytes` into
-    /// `profile` (free on backends without a modeled interconnect).
-    pub fn exchange(&self, label: &'static str, bytes: usize, profile: &mut RunProfile) {
-        self.devices[0].transfer(label, bytes, profile);
     }
 
     /// The modeled cost of landing `bytes` on device `p`'s inbound link,
@@ -372,24 +373,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_fleet_exposes_devices_and_charges_exchanges() {
+    fn sharded_fleet_exposes_devices() {
         let dev = Device::tiny();
         let fleet = ShardedBackend::uniform(3, |_| SimtBackend::new(&dev, ExecMode::Deterministic));
         assert_eq!(fleet.num_devices(), 3);
         assert_eq!(fleet.device(2).name(), "simt");
-        let mut profile = RunProfile::new();
-        fleet.exchange("ghost frontier (d2d)", 4096, &mut profile);
-        assert!(profile.transfer_ms() > 0.0);
-        assert!(matches!(
-            &profile.phases[0],
-            Phase::Transfer { bytes: 4096, .. }
-        ));
-
-        // Native fleets keep exchanges free: one address space.
-        let native = ShardedBackend::uniform(2, |_| NativeBackend::new());
-        let mut np = RunProfile::new();
-        native.exchange("ghost frontier (d2d)", 4096, &mut np);
-        assert!(np.phases.is_empty());
     }
 
     #[test]

@@ -119,15 +119,26 @@ pub struct AllocInfo {
 /// Device global memory: a growable arena of words. Allocation requires
 /// `&mut self` (between kernels); kernels access it through `&self` with
 /// atomic word operations.
-#[derive(Default)]
 pub struct GpuMem {
     words: Vec<AtomicU32>,
     allocs: Vec<AllocInfo>,
+    /// Whether [`GpuMem::alloc_uninit`] builds the shadow map below.
+    /// Fixed at construction: on for [`GpuMem::new`], and on in a scheme
+    /// driver only when its backend reads the map (the sanitizer).
+    init_shadow: bool,
     /// Shadow initialized-word map, one flag word per arena word. `None`
-    /// until the first [`GpuMem::alloc_uninit`] — the common case — so
-    /// default runs pay only a never-taken branch per store. Created
-    /// lazily with every pre-existing word marked initialized.
+    /// until the first [`GpuMem::alloc_uninit`] of an arena built with
+    /// the shadow on, and always `None` otherwise — the common case: the
+    /// native and simt runs of every scheme — so those runs pay only a
+    /// never-taken branch per store. Created lazily with every
+    /// pre-existing word marked initialized.
     init: Option<Vec<AtomicU32>>,
+}
+
+impl Default for GpuMem {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Alignment (in words) of every allocation: 256 bytes like `cudaMalloc`,
@@ -135,9 +146,29 @@ pub struct GpuMem {
 const ALLOC_ALIGN_WORDS: usize = 64;
 
 impl GpuMem {
-    /// An empty device memory.
+    /// An empty device memory that tracks initialization of
+    /// [`GpuMem::alloc_uninit`] buffers.
     pub fn new() -> Self {
-        Self::default()
+        Self::with_init_shadow(true)
+    }
+
+    /// An empty device memory whose [`GpuMem::alloc_uninit`] builds the
+    /// initialized-word shadow only if `init_shadow` is set; otherwise it
+    /// is a plain [`GpuMem::alloc`]. Only a backend that reads the shadow
+    /// (see [`crate::Backend::reads_init_shadow`]) needs it.
+    pub fn with_init_shadow(init_shadow: bool) -> Self {
+        Self {
+            words: Vec::new(),
+            allocs: Vec::new(),
+            init_shadow,
+            init: None,
+        }
+    }
+
+    /// Whether the initialized-word shadow map exists, i.e. whether
+    /// stores pay for tracking it.
+    pub fn tracks_init(&self) -> bool {
+        self.init.is_some()
     }
 
     /// Bytes currently allocated.
@@ -178,8 +209,12 @@ impl GpuMem {
     /// that no host write or kernel store has touched yet is reported as a
     /// read-before-init finding by [`crate::sanitize::SanitizeBackend`].
     /// Functionally the words still read as zero, so default (unsanitized)
-    /// runs behave exactly like [`GpuMem::alloc`].
+    /// runs behave exactly like [`GpuMem::alloc`] — and on an arena built
+    /// without the shadow it *is* [`GpuMem::alloc`].
     pub fn alloc_uninit<T: Word>(&mut self, len: usize) -> Buffer<T> {
+        if !self.init_shadow {
+            return self.alloc(len);
+        }
         if self.init.is_none() {
             // First uninitialized allocation: materialize the shadow map
             // with everything allocated so far marked initialized.
@@ -212,7 +247,8 @@ impl GpuMem {
     }
 
     /// Whether a word has been written since allocation. Always `true`
-    /// when no [`GpuMem::alloc_uninit`] buffer exists (no shadow map).
+    /// when no shadow map exists (no [`GpuMem::alloc_uninit`] buffer, or
+    /// an arena built without the shadow).
     pub fn word_init(&self, word_addr: usize) -> bool {
         match &self.init {
             None => true,
@@ -224,7 +260,7 @@ impl GpuMem {
 
     /// Marks a word initialized in the shadow map, if one exists. Called
     /// on every store path; a predictable never-taken branch when no
-    /// `alloc_uninit` buffer exists.
+    /// shadow map exists.
     #[inline]
     fn mark_init(&self, word_addr: usize) {
         if let Some(map) = &self.init {
@@ -453,7 +489,9 @@ mod tests {
         let a = mem.alloc::<u32>(2);
         // No alloc_uninit yet: everything reads as initialized.
         assert!(mem.word_init(a.addr(0) as usize));
+        assert!(!mem.tracks_init());
         let b = mem.alloc_uninit::<u32>(4);
+        assert!(mem.tracks_init());
         // Pre-existing words stay initialized; b's words start clear.
         assert!(mem.word_init(a.addr(1) as usize));
         assert!(!mem.word_init(b.addr(0) as usize));
@@ -467,6 +505,23 @@ mod tests {
         // A later zeroed alloc is fully initialized even with a live map.
         let c = mem.alloc::<u32>(3);
         assert!(mem.word_init(c.addr(2) as usize));
+    }
+
+    #[test]
+    fn arena_without_shadow_never_builds_the_map() {
+        let mut mem = GpuMem::with_init_shadow(false);
+        let a = mem.alloc_uninit::<u32>(4);
+        assert!(!mem.tracks_init());
+        // Every word reads as zero and counts as initialized.
+        assert_eq!(mem.read_vec(a), vec![0; 4]);
+        assert!(mem.word_init(a.addr(3) as usize));
+        mem.store(a, 1, 5u32);
+        assert!(!mem.tracks_init());
+        // Same layout as a shadowed arena: the gate changes no address.
+        let mut shadowed = GpuMem::new();
+        let b = shadowed.alloc_uninit::<u32>(4);
+        assert!(shadowed.tracks_init());
+        assert_eq!(a.base_addr(), b.base_addr());
     }
 
     #[test]

@@ -795,6 +795,11 @@ impl<B: Backend> Backend for SanitizeBackend<B> {
         self.inner.transfer_cost_ms(bytes)
     }
 
+    fn reads_init_shadow(&self) -> bool {
+        // The read-before-init check consults the shadow on every load.
+        true
+    }
+
     fn launch<K: Kernel>(
         &self,
         mem: &GpuMem,

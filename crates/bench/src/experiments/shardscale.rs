@@ -19,13 +19,23 @@
 //! On the native backend the times are wall clock: the shards genuinely
 //! run the same kernels over smaller subgraphs, there is no modeled
 //! interconnect, and the frontier column reads 0.
+//!
+//! On either backend the `ms` column is the run's profile sum, which
+//! covers the kernels and exchange rounds but not the host work of
+//! building the shards. The `extract ms` column reports that work per
+//! P: the wall time of `Partitioning::contiguous` plus
+//! `extract_shards`, min of 3.
 
 use super::ExpConfig;
 use crate::report::{f, maybe_write_json, speedup, Table};
 use gcol_core::{Coloring, ExchangeKind, Scheme};
 use gcol_graph::gen::{self, RmatParams};
+use gcol_graph::partition::Partitioning;
+use gcol_graph::Csr;
 use gcol_simt::{Device, Phase};
 use serde::Serialize;
+use std::hint::black_box;
+use std::time::Instant;
 
 /// The scaling sweep every run covers.
 pub const BASE_SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -46,6 +56,9 @@ struct Row {
     frontier_bytes: usize,
     ms: f64,
     speedup_vs_one: f64,
+    /// Host wall time of partitioning and extracting the P shards (min
+    /// of 3), which `ms` does not include.
+    extract_wall_ms: f64,
 }
 
 fn shard_counts(cfg: &ExpConfig) -> Vec<usize> {
@@ -55,6 +68,18 @@ fn shard_counts(cfg: &ExpConfig) -> Vec<usize> {
         counts.sort_unstable();
     }
     counts
+}
+
+/// Wall time of `Partitioning::contiguous` plus `extract_shards` on `g`
+/// at `p` shards, min of 3.
+fn extract_wall_ms(g: &Csr, p: usize) -> f64 {
+    (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            black_box(Partitioning::contiguous(black_box(g), p).extract_shards(g));
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Sums the wire bytes of the ghost-frontier `Transfer` phases and
@@ -104,11 +129,13 @@ pub fn run(cfg: &ExpConfig) -> String {
         "frontier B".to_string(),
         format!("ms ({})", cfg.backend),
         "speedup vs P=1".to_string(),
+        "extract ms".to_string(),
     ]);
+    let extract_ms: Vec<f64> = counts.iter().map(|&p| extract_wall_ms(&g, p)).collect();
     let mut rows: Vec<Row> = Vec::new();
     for scheme in Scheme::GPU {
         let mut one_device_ms = f64::NAN;
-        for &p in &counts {
+        for (&p, &extract_wall_ms) in counts.iter().zip(&extract_ms) {
             // P = 1 has no ghosts, hence no frames to encode: one run
             // covers both encodings.
             let row_kinds: &[(&'static str, ExchangeKind)] = if p == 1 {
@@ -149,6 +176,7 @@ pub fn run(cfg: &ExpConfig) -> String {
                     frontier_bytes.to_string(),
                     f(r.total_ms(), 2),
                     speedup(sp),
+                    f(extract_wall_ms, 2),
                 ]);
                 rows.push(Row {
                     scheme: scheme.name(),
@@ -160,6 +188,7 @@ pub fn run(cfg: &ExpConfig) -> String {
                     frontier_bytes,
                     ms: r.total_ms(),
                     speedup_vs_one: sp,
+                    extract_wall_ms,
                 });
             }
         }
@@ -172,7 +201,9 @@ pub fn run(cfg: &ExpConfig) -> String {
          construction, shared by both encodings). Expected shape: round 1\n\
          ships the full frontier under either encoding, later delta rounds\n\
          shrink to the conflict losers, and the modeled exchange only charges\n\
-         the copy tail the receiver cannot hide behind its own compute.\n\n{}",
+         the copy tail the receiver cannot hide behind its own compute.\n\
+         `extract ms` is the host wall time of building the P shards (min of\n\
+         3), which the `ms` column does not include.\n\n{}",
         cfg.scale,
         cfg.backend,
         table.render()
@@ -244,6 +275,11 @@ mod tests {
         for scheme in Scheme::GPU {
             assert!(out.contains(scheme.name()), "missing {scheme}");
         }
+        let header = out.lines().find(|l| l.contains("speedup vs P=1"));
+        assert!(
+            header.is_some_and(|l| l.trim_end().ends_with("extract ms")),
+            "missing extract column:\n{out}"
+        );
         // 1, 2, 4 plus the requested 3.
         assert_eq!(shard_counts(&cfg), vec![1, 2, 3, 4]);
     }

@@ -9,7 +9,10 @@
 //!    (reusing [`Partitioning`]), each extended with read-only *ghost*
 //!    copies of its out-of-shard neighbors ([`Shard`]), and each owned
 //!    vertex classed *boundary* (has a ghost neighbor; listed in
-//!    [`Shard::boundary_locals`]) or *interior*.
+//!    [`Shard::boundary_locals`]) or *interior*. Extraction is linear
+//!    host work: each local row is its owned run followed by its ghost
+//!    runs, taken straight from the sorted global row (see
+//!    [`gcol_graph::partition`]).
 //! 2. **Local speculation** — every device runs the *unmodified* scheme on
 //!    its **owned subgraph** ([`Shard::owned_subgraph`]): interior
 //!    vertices see every neighbor and are final; boundary vertices
@@ -68,7 +71,11 @@
 //!   vertices picked colors avoiding all their ghosts, kept vertices
 //!   either differed or held the smaller global id — so a vertex none of
 //!   whose ghosts changed cannot newly conflict. An empty dirty set skips
-//!   the detect (and its flag read-back) entirely.
+//!   the detect (and its flag read-back) entirely. When every ghost is
+//!   dirty, as in round 1, the worklist is the boundary list itself;
+//!   otherwise a reused bitmap marks the dirty ghosts' neighbors and one
+//!   scan of the boundary list collects them in id order, so building a
+//!   worklist never sorts.
 //! * **The resolve fixpoint's scope**: a just-recolored vertex avoided
 //!   every neighbor color it could see, so new intra-shard conflicts only
 //!   arise between *concurrently* recolored pairs. Every recolor stamps
@@ -144,6 +151,42 @@ struct ShardState<'b, B: Backend> {
     /// Owning partition of each ghost (for copy-readiness: a frame waits
     /// only for the devices whose colors it carries).
     ghost_owner: Vec<u32>,
+    /// Per-owned-vertex marks for [`dirty_adjacent`], reused every round.
+    marked: Vec<bool>,
+    /// The dirty-adjacent worklist of a partly dirty round.
+    affected: Vec<u32>,
+}
+
+/// Owned vertices adjacent to a dirty ghost, ascending: the only ones a
+/// frontier change can newly conflict. The ghost rows of the local CSR
+/// are exactly the ghost→owned adjacency, so when every ghost is dirty
+/// (always so in round 1) the set is the whole boundary worklist.
+/// Otherwise the dirty ghosts' neighbors are marked in `marked` and
+/// collected by one scan of the boundary in id order, which also clears
+/// the marks for the next round.
+fn dirty_adjacent<'a>(
+    shard: &'a Shard,
+    dirty: &[usize],
+    marked: &mut [bool],
+    affected: &'a mut Vec<u32>,
+) -> &'a [u32] {
+    if dirty.len() == shard.ghost_gids.len() {
+        return &shard.boundary_locals;
+    }
+    for &k in dirty {
+        for &v in shard.graph.neighbors((shard.num_owned + k) as u32) {
+            marked[v as usize] = true;
+        }
+    }
+    affected.clear();
+    affected.extend(
+        shard
+            .boundary_locals
+            .iter()
+            .copied()
+            .filter(|&v| std::mem::take(&mut marked[v as usize])),
+    );
+    affected
 }
 
 /// Colors `g` with `scheme` across the fleet's devices: partition, local
@@ -269,6 +312,8 @@ pub fn color_sharded<B: Backend>(
             JITTER_SPAN,
         );
         states.push(ShardState {
+            marked: vec![false; shard.num_owned],
+            affected: Vec::new(),
             shard,
             d,
             repair,
@@ -374,24 +419,11 @@ pub fn color_sharded<B: Backend>(
                 st.d.mem
                     .store(st.repair.color, num_owned + k, st.prev_frontier[k]);
             }
-            // Owned vertices adjacent to a dirty ghost — the only ones a
-            // frontier change can newly conflict. The ghost rows of the
-            // local CSR are exactly the ghost→owned adjacency.
-            let mut seen = vec![false; num_owned];
-            let mut affected: Vec<u32> = Vec::new();
-            for &k in dirty {
-                for &v in st.shard.graph.neighbors((num_owned + k) as u32) {
-                    if !seen[v as usize] {
-                        seen[v as usize] = true;
-                        affected.push(v);
-                    }
-                }
-            }
+            let affected = dirty_adjacent(&st.shard, dirty, &mut st.marked, &mut st.affected);
             if affected.is_empty() {
                 continue;
             }
-            affected.sort_unstable();
-            st.d.mem.write_slice(st.repair.worklist, &affected);
+            st.d.mem.write_slice(st.repair.worklist, affected);
             // Fused verdict + fixpoint: one 8-byte read per pass covers
             // the cross flag and the recolor loop's continue signal.
             conflicted[p] =
@@ -603,6 +635,48 @@ mod tests {
         assert_eq!(a.colors, b.colors);
         assert_eq!(a.iterations, b.iterations);
         assert_eq!(a.total_ms().to_bits(), b.total_ms().to_bits());
+    }
+
+    /// The affected set as the exchange loop built it before
+    /// [`dirty_adjacent`]: push every dirty ghost's first-seen neighbor,
+    /// then sort.
+    fn pushed_and_sorted(shard: &Shard, dirty: &[usize]) -> Vec<u32> {
+        let mut seen = vec![false; shard.num_owned];
+        let mut affected = Vec::new();
+        for &k in dirty {
+            for &v in shard.graph.neighbors((shard.num_owned + k) as u32) {
+                if !seen[v as usize] {
+                    seen[v as usize] = true;
+                    affected.push(v);
+                }
+            }
+        }
+        affected.sort_unstable();
+        affected
+    }
+
+    #[test]
+    fn dirty_adjacent_matches_push_and_sort() {
+        // K24 at P=2 is the multi-round case below; the sparse graph at
+        // P=3 has ghosts with few owned neighbors. The dirty sets cover
+        // round 1 (every ghost), single ghosts and residue classes of the
+        // ghost index, reusing one mark buffer throughout as the loop
+        // does.
+        for (g, p) in [(complete(24), 2), (erdos_renyi(300, 900, 4), 3)] {
+            for shard in Partitioning::contiguous(&g, p).extract_shards(&g) {
+                let ghosts = shard.ghost_gids.len();
+                let mut marked = vec![false; shard.num_owned];
+                let mut affected = Vec::new();
+                let mut sets: Vec<Vec<usize>> = vec![(0..ghosts).collect()];
+                sets.extend((0..ghosts).map(|k| vec![k]));
+                sets.extend((1..=7).map(|m| (0..ghosts).filter(|k| k % m == m / 2).collect()));
+                for dirty in &sets {
+                    let got = dirty_adjacent(&shard, dirty, &mut marked, &mut affected);
+                    assert_eq!(got, pushed_and_sorted(&shard, dirty), "dirty {dirty:?}");
+                }
+                assert!(marked.iter().all(|&m| !m), "marks must be cleared");
+            }
+        }
     }
 
     #[test]

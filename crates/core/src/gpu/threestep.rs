@@ -100,7 +100,7 @@ pub fn color_threestep<B: Backend>(
     // Step 1: host-side partitioning + boundary identification — one full
     // pass over the edges on the CPU.
     let grid = grid_for(n, opts.block_size);
-    let _partitioning = Partitioning::contiguous(g, grid.max(1) as usize);
+    let _boundary = Partitioning::contiguous(g, grid.max(1) as usize).boundary(g);
     d.profile.host(
         "partition + boundary detection",
         cpu.greedy_sweep_ms(n, g.num_edges()) * 0.5,

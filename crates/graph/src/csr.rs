@@ -165,6 +165,25 @@ impl Csr {
             .all(|v| self.neighbors(v).windows(2).all(|w| w[0] < w[1]))
     }
 
+    /// True if every adjacency list is non-decreasing. Every row is
+    /// sorted exactly when each descent of the flat `C` array sits where
+    /// a non-empty row starts, so this is one flat pass over `C` (no
+    /// per-row loop) plus one pass over `R` when `C` has descents.
+    pub fn has_sorted_rows(&self) -> bool {
+        let c = &self.col_indices;
+        let descents = c.windows(2).filter(|w| w[0] > w[1]).count();
+        descents == 0
+            || descents
+                == self
+                    .row_offsets
+                    .windows(2)
+                    .filter(|r| {
+                        let (start, end) = (r[0] as usize, r[1] as usize);
+                        start > 0 && start < end && c[start - 1] > c[start]
+                    })
+                    .count()
+    }
+
     /// Re-checks all structural invariants; useful after IO.
     pub fn validate(&self) -> Result<(), CsrError> {
         Self::check(&self.row_offsets, &self.col_indices)
@@ -382,6 +401,18 @@ mod tests {
         assert!(g.is_symmetric());
         assert!(g.has_no_self_loops());
         assert!(g.has_sorted_unique_neighbors());
+    }
+
+    #[test]
+    fn sorted_rows_allow_descents_only_at_row_starts() {
+        assert!(fig2_graph().has_sorted_rows());
+        assert!(Csr::empty(3).has_sorted_rows());
+        // Descents at row starts, with empty rows between, and duplicates.
+        assert!(Csr::new(vec![0, 2, 2, 3, 3, 5], vec![3, 4, 1, 0, 0]).has_sorted_rows());
+        // A descent inside a row, next to an empty row.
+        assert!(!Csr::new(vec![0, 2, 2, 4], vec![1, 2, 2, 0]).has_sorted_rows());
+        // A descent inside a row where no row start descends.
+        assert!(!Csr::new(vec![0, 1, 3, 4], vec![0, 2, 1, 2]).has_sorted_rows());
     }
 
     #[test]

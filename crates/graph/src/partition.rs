@@ -1,4 +1,4 @@
-//! Contiguous block partitioning with boundary-vertex detection and
+//! Contiguous block partitioning, boundary-vertex detection and
 //! ghost/halo shard extraction.
 //!
 //! The 3-step GM baseline (Grosset et al., §II-C of the paper) partitions
@@ -7,7 +7,9 @@
 //! cross-partition conflicts) from *boundary* vertices (at least one
 //! neighbor elsewhere — these are where speculative conflicts can appear).
 //! Grosset's framework uses simple contiguous index ranges; we reproduce
-//! that, not a min-cut partitioner.
+//! that, not a min-cut partitioner. The boundary flags are computed on
+//! demand ([`Partitioning::boundary`]): the sharded driver never reads
+//! them, since each [`Shard`] lists its own boundary vertices.
 //!
 //! [`Partitioning::extract_shards`] turns the same contiguous ranges into
 //! per-device [`Shard`] subgraphs for the multi-device driver: each shard
@@ -15,6 +17,15 @@
 //! out-of-shard neighbor, so a cut edge appears in both endpoints' shards
 //! and an interior edge in exactly one — the cover invariant the
 //! boundary-exchange rounds rely on.
+//!
+//! Extraction is linear in the shard's vertices plus the edges it
+//! touches, with no sort and no search per edge. A sorted global row of
+//! an owned vertex is three runs: neighbors below the owned range, owned
+//! neighbors, and neighbors at or above its end. Ghosts are marked in a
+//! dense map and ranked by one scan in global-id order, so ghost local
+//! ids keep global order and the sorted local row is simply the owned
+//! run followed by the two ghost runs. Interior rows (first neighbor
+//! owned, last neighbor owned) are copied without splitting.
 
 use crate::csr::{Csr, VertexId};
 use rayon::prelude::*;
@@ -26,13 +37,10 @@ pub struct Partitioning {
     pub part_of: Vec<u32>,
     /// Half-open vertex ranges `[start, end)` per partition.
     pub ranges: Vec<(VertexId, VertexId)>,
-    /// `true` for vertices with at least one neighbor in another partition.
-    pub boundary: Vec<bool>,
 }
 
 impl Partitioning {
-    /// Splits `g` into `k` near-equal contiguous vertex ranges and flags
-    /// boundary vertices.
+    /// Splits `g` into `k` near-equal contiguous vertex ranges.
     pub fn contiguous(g: &Csr, k: usize) -> Self {
         assert!(k > 0, "need at least one partition");
         let n = g.num_vertices();
@@ -51,19 +59,7 @@ impl Partitioning {
         if ranges.is_empty() {
             ranges.push((0, 0));
         }
-        let boundary: Vec<bool> = (0..n as VertexId)
-            .into_par_iter()
-            .map(|v| {
-                g.neighbors(v)
-                    .iter()
-                    .any(|&w| part_of[w as usize] != part_of[v as usize])
-            })
-            .collect();
-        Self {
-            part_of,
-            ranges,
-            boundary,
-        }
+        Self { part_of, ranges }
     }
 
     /// Number of partitions actually created.
@@ -71,9 +67,24 @@ impl Partitioning {
         self.ranges.len()
     }
 
-    /// Number of boundary vertices.
-    pub fn num_boundary(&self) -> usize {
-        self.boundary.iter().filter(|&&b| b).count()
+    /// Boundary flags of `g` under this partitioning: `true` for vertices
+    /// with at least one neighbor in another partition. One pass over the
+    /// edges.
+    pub fn boundary(&self, g: &Csr) -> Vec<bool> {
+        let part_of = &self.part_of;
+        (0..g.num_vertices() as VertexId)
+            .into_par_iter()
+            .map(|v| {
+                g.neighbors(v)
+                    .iter()
+                    .any(|&w| part_of[w as usize] != part_of[v as usize])
+            })
+            .collect()
+    }
+
+    /// Number of boundary vertices of `g` under this partitioning.
+    pub fn num_boundary(&self, g: &Csr) -> usize {
+        self.boundary(g).iter().filter(|&&b| b).count()
     }
 
     /// Extracts one [`Shard`] per partition: the owned contiguous range
@@ -82,7 +93,17 @@ impl Partitioning {
     /// itself (identity vertex mapping, no ghosts), which is what makes
     /// the sharded driver label-identical to the single-device one at
     /// P = 1.
+    ///
+    /// Extraction relies on sorted adjacency rows, which every built,
+    /// ingested or edited graph has; a graph with an unsorted row is
+    /// extracted from a row-sorted copy, so every local row comes out
+    /// sorted either way.
     pub fn extract_shards(&self, g: &Csr) -> Vec<Shard> {
+        if !g.has_sorted_rows() {
+            let mut sorted = g.clone();
+            sorted.sort_neighbor_lists();
+            return self.extract_shards(&sorted);
+        }
         self.ranges
             .par_iter()
             .enumerate()
@@ -96,8 +117,10 @@ impl Partitioning {
 ///
 /// Local vertex ids put the owned vertices first (`local = global - owned_start`
 /// for `0..num_owned`) and the ghosts after them in ascending global-id
-/// order. Ghost adjacency keeps only the edges back into the owned range:
-/// ghost–ghost edges belong to the shards that own those endpoints.
+/// order. An owned vertex's local row is its owned neighbors followed by
+/// its ghost neighbors, which is sorted order. Ghost adjacency keeps only
+/// the edges back into the owned range: ghost–ghost edges belong to the
+/// shards that own those endpoints.
 ///
 /// Owned vertices further split into **boundary** (at least one ghost
 /// neighbor — the only vertices a cross-shard conflict can touch, and the
@@ -126,41 +149,62 @@ pub struct Shard {
     pub graph: Csr,
 }
 
+/// Splits a sorted row at the owned range `[lo, hi)`: `row[..a]` lies
+/// below it, `row[a..b]` inside it and `row[b..]` at or above its end. A
+/// row whose first and last entries are owned needs no search.
+fn split_row(row: &[VertexId], lo: VertexId, hi: VertexId) -> (usize, usize) {
+    match (row.first(), row.last()) {
+        (Some(&first), Some(&last)) if first >= lo && last < hi => (0, row.len()),
+        _ => (
+            row.partition_point(|&w| w < lo),
+            row.partition_point(|&w| w < hi),
+        ),
+    }
+}
+
 impl Shard {
+    /// Builds the shard owning `[lo, hi)` of `g`, whose rows are sorted,
+    /// in two passes over the owned rows plus one over the ghost rows.
     fn extract(g: &Csr, id: u32, lo: VertexId, hi: VertexId) -> Self {
+        let n = g.num_vertices();
         let num_owned = (hi - lo) as usize;
-        let owned = || (lo..hi).flat_map(|v| g.neighbors(v).iter().copied());
-        let mut ghost_gids: Vec<VertexId> = owned().filter(|&w| w < lo || w >= hi).collect();
-        ghost_gids.sort_unstable();
-        ghost_gids.dedup();
-
-        let to_local = |w: VertexId| -> u32 {
-            if (lo..hi).contains(&w) {
-                w - lo
-            } else {
-                // Ghosts are exactly the out-of-range neighbors collected
-                // above, so the lookup cannot miss.
-                num_owned as u32 + ghost_gids.binary_search(&w).unwrap() as u32
+        // Local id of each ghost, 0 for every other vertex: a ghost exists
+        // only next to an owned vertex, so its local id is at least 1.
+        let mut ghost_local = vec![0u32; n];
+        let mut cut_entries = 0usize;
+        for v in lo..hi {
+            let row = g.neighbors(v);
+            let (a, b) = split_row(row, lo, hi);
+            for &w in &row[..a] {
+                ghost_local[w as usize] = 1;
             }
-        };
+            for &w in &row[b..] {
+                ghost_local[w as usize] = 1;
+            }
+            cut_entries += a + row.len() - b;
+        }
+        let mut ghost_gids = Vec::new();
+        for w in (0..lo).chain(hi..n as VertexId) {
+            if ghost_local[w as usize] != 0 {
+                ghost_local[w as usize] = (num_owned + ghost_gids.len()) as u32;
+                ghost_gids.push(w);
+            }
+        }
 
-        let num_local = num_owned + ghost_gids.len();
-        let mut row_offsets = Vec::with_capacity(num_local + 1);
-        let mut col_indices = Vec::new();
+        // The owned rows, plus the ghost rows that mirror their cut entries.
+        let r = g.row_offsets();
+        let owned_entries = (r[hi as usize] - r[lo as usize]) as usize;
+        let mut row_offsets = Vec::with_capacity(num_owned + ghost_gids.len() + 1);
+        let mut col_indices = Vec::with_capacity(owned_entries + cut_entries);
         let mut boundary_locals = Vec::new();
         row_offsets.push(0u32);
         for v in lo..hi {
-            let row_start = col_indices.len();
-            col_indices.extend(g.neighbors(v).iter().map(|&w| to_local(w)));
-            // Mapping owned neighbors preserves order but ghosts land past
-            // `num_owned`, so mixed rows need a re-sort to keep the CSR
-            // sorted-adjacency invariant.
-            col_indices[row_start..].sort_unstable();
-            if col_indices[row_start..]
-                .last()
-                .is_some_and(|&w| w as usize >= num_owned)
-            {
-                // Sorted row: a ghost neighbor, if any, is the last entry.
+            let row = g.neighbors(v);
+            let (a, b) = split_row(row, lo, hi);
+            col_indices.extend(row[a..b].iter().map(|&w| w - lo));
+            if a > 0 || b < row.len() {
+                col_indices.extend(row[..a].iter().map(|&w| ghost_local[w as usize]));
+                col_indices.extend(row[b..].iter().map(|&w| ghost_local[w as usize]));
                 boundary_locals.push(v - lo);
             }
             row_offsets.push(col_indices.len() as u32);
@@ -168,12 +212,9 @@ impl Shard {
         for &gw in &ghost_gids {
             // Only the edges back into the owned range: these are the cut
             // edges mirrored, which keeps the local graph symmetric.
-            col_indices.extend(
-                g.neighbors(gw)
-                    .iter()
-                    .filter(|&&w| (lo..hi).contains(&w))
-                    .map(|&w| w - lo),
-            );
+            let row = g.neighbors(gw);
+            let (a, b) = split_row(row, lo, hi);
+            col_indices.extend(row[a..b].iter().map(|&w| w - lo));
             row_offsets.push(col_indices.len() as u32);
         }
         Self {
@@ -196,20 +237,17 @@ impl Shard {
     /// colors in its local-speculation phase: interior vertices see every
     /// neighbor, boundary vertices speculate without their ghosts and get
     /// checked by the first exchange round — so the phase's cost scales
-    /// with the shard, not with the halo.
+    /// with the shard, not with the halo. Each owned row's owned
+    /// neighbors are its prefix, so the rows are copied, not filtered.
     pub fn owned_subgraph(&self) -> Csr {
         let bound = self.num_owned as u32;
         let mut row_offsets = Vec::with_capacity(self.num_owned + 1);
-        let mut col_indices = Vec::new();
+        let owned_rows_len = self.graph.row_offsets()[self.num_owned] as usize;
+        let mut col_indices = Vec::with_capacity(owned_rows_len);
         row_offsets.push(0u32);
         for v in 0..bound {
-            col_indices.extend(
-                self.graph
-                    .neighbors(v)
-                    .iter()
-                    .copied()
-                    .filter(|&w| w < bound),
-            );
+            let row = self.graph.neighbors(v);
+            col_indices.extend_from_slice(&row[..row.partition_point(|&w| w < bound)]);
             row_offsets.push(col_indices.len() as u32);
         }
         Csr::new(row_offsets, col_indices)
@@ -270,15 +308,15 @@ mod tests {
         let p = Partitioning::contiguous(&g, 3);
         // Cuts at 3-4 and 7-8.
         let expected: Vec<bool> = (0..10).map(|v| matches!(v, 3 | 4 | 7 | 8)).collect();
-        assert_eq!(p.boundary, expected);
-        assert_eq!(p.num_boundary(), 4);
+        assert_eq!(p.boundary(&g), expected);
+        assert_eq!(p.num_boundary(&g), 4);
     }
 
     #[test]
     fn complete_graph_is_all_boundary() {
         let g = complete(8);
         let p = Partitioning::contiguous(&g, 2);
-        assert!(p.boundary.iter().all(|&b| b));
+        assert!(p.boundary(&g).iter().all(|&b| b));
     }
 
     #[test]
@@ -286,7 +324,7 @@ mod tests {
         let g = complete(8);
         let p = Partitioning::contiguous(&g, 1);
         assert_eq!(p.num_parts(), 1);
-        assert_eq!(p.num_boundary(), 0);
+        assert_eq!(p.num_boundary(&g), 0);
     }
 
     #[test]
@@ -294,7 +332,7 @@ mod tests {
         let g = path(3);
         let p = Partitioning::contiguous(&g, 10);
         assert_eq!(p.num_parts(), 3);
-        assert!(p.boundary.iter().all(|&b| b), "every vertex is a cut");
+        assert!(p.boundary(&g).iter().all(|&b| b), "every vertex is a cut");
     }
 
     #[test]
@@ -302,7 +340,7 @@ mod tests {
         let g = Csr::empty(0);
         let p = Partitioning::contiguous(&g, 4);
         assert_eq!(p.part_of.len(), 0);
-        assert_eq!(p.num_boundary(), 0);
+        assert_eq!(p.num_boundary(&g), 0);
     }
 
     #[test]
@@ -350,6 +388,26 @@ mod tests {
     }
 
     #[test]
+    fn unsorted_rows_extract_like_their_sorted_copy() {
+        // path(6) with every row stored in descending order.
+        let g = Csr::new(
+            vec![0, 1, 3, 5, 7, 9, 10],
+            vec![1, 2, 0, 3, 1, 4, 2, 5, 3, 4],
+        );
+        let mut sorted = g.clone();
+        sorted.sort_neighbor_lists();
+        for k in [1, 2, 3] {
+            let p = Partitioning::contiguous(&g, k);
+            for (a, b) in p.extract_shards(&g).iter().zip(p.extract_shards(&sorted)) {
+                assert_eq!(a.graph, b.graph, "k={k} shard {}", a.id);
+                assert!(a.graph.has_sorted_unique_neighbors());
+                assert_eq!(a.ghost_gids, b.ghost_gids);
+                assert_eq!(a.boundary_locals, b.boundary_locals);
+            }
+        }
+    }
+
+    #[test]
     fn owned_subgraph_keeps_interior_edges_only() {
         let g = crate::gen::simple::erdos_renyi(90, 400, 7);
         let p = Partitioning::contiguous(&g, 3);
@@ -384,6 +442,7 @@ mod tests {
     fn boundary_locals_match_partition_boundary_flags() {
         let g = crate::gen::simple::erdos_renyi(90, 400, 7);
         let p = Partitioning::contiguous(&g, 3);
+        let boundary = p.boundary(&g);
         for s in p.extract_shards(&g) {
             // Ascending, owned-only, and consistent with the global
             // boundary bitmap restricted to this shard's range.
@@ -393,7 +452,7 @@ mod tests {
                 .iter()
                 .all(|&l| (l as usize) < s.num_owned));
             let expect: Vec<VertexId> = (0..s.num_owned as VertexId)
-                .filter(|&l| p.boundary[(s.owned_start + l) as usize])
+                .filter(|&l| boundary[(s.owned_start + l) as usize])
                 .collect();
             assert_eq!(s.boundary_locals, expect, "shard {}", s.id);
             assert_eq!(s.num_interior() + s.boundary_locals.len(), s.num_owned);

@@ -4,7 +4,7 @@
 use gcol_graph::builder::{from_undirected_edges, CsrBuilder};
 use gcol_graph::check::{count_conflicts, verify_coloring};
 use gcol_graph::ordering::{degeneracy, order_vertices, Ordering};
-use gcol_graph::partition::Partitioning;
+use gcol_graph::partition::{Partitioning, Shard};
 use gcol_graph::{Csr, VertexId};
 use proptest::prelude::*;
 
@@ -16,6 +16,118 @@ fn arb_graph_inputs() -> impl Strategy<Value = (usize, Vec<(VertexId, VertexId)>
     })
 }
 
+/// The shard extractor as it stood before the linear rewrite: collect,
+/// sort and dedup the cut endpoints, binary-search every ghost neighbor
+/// and re-sort every owned row. Kept as the byte-for-byte reference for
+/// [`Partitioning::extract_shards`].
+fn oracle_extract(g: &Csr, id: u32, lo: VertexId, hi: VertexId) -> Shard {
+    let num_owned = (hi - lo) as usize;
+    let owned = || (lo..hi).flat_map(|v| g.neighbors(v).iter().copied());
+    let mut ghost_gids: Vec<VertexId> = owned().filter(|&w| w < lo || w >= hi).collect();
+    ghost_gids.sort_unstable();
+    ghost_gids.dedup();
+    let to_local = |w: VertexId| -> u32 {
+        if (lo..hi).contains(&w) {
+            w - lo
+        } else {
+            num_owned as u32 + ghost_gids.binary_search(&w).unwrap() as u32
+        }
+    };
+    let mut row_offsets = vec![0u32];
+    let mut col_indices = Vec::new();
+    let mut boundary_locals = Vec::new();
+    for v in lo..hi {
+        let row_start = col_indices.len();
+        col_indices.extend(g.neighbors(v).iter().map(|&w| to_local(w)));
+        col_indices[row_start..].sort_unstable();
+        if col_indices[row_start..]
+            .last()
+            .is_some_and(|&w| w as usize >= num_owned)
+        {
+            boundary_locals.push(v - lo);
+        }
+        row_offsets.push(col_indices.len() as u32);
+    }
+    for &gw in &ghost_gids {
+        col_indices.extend(
+            g.neighbors(gw)
+                .iter()
+                .filter(|&&w| (lo..hi).contains(&w))
+                .map(|&w| w - lo),
+        );
+        row_offsets.push(col_indices.len() as u32);
+    }
+    Shard {
+        id,
+        owned_start: lo,
+        num_owned,
+        ghost_gids,
+        boundary_locals,
+        graph: Csr::new(row_offsets, col_indices),
+    }
+}
+
+/// The reference owned subgraph: every local row filtered entry by entry.
+fn oracle_owned_subgraph(s: &Shard) -> Csr {
+    let bound = s.num_owned as u32;
+    let mut row_offsets = vec![0u32];
+    let mut col_indices = Vec::new();
+    for v in 0..bound {
+        col_indices.extend(s.graph.neighbors(v).iter().copied().filter(|&w| w < bound));
+        row_offsets.push(col_indices.len() as u32);
+    }
+    Csr::new(row_offsets, col_indices)
+}
+
+/// Strategy: a graph and a shard count `k` in `1..8`, shaped to reach the
+/// extractor's corner cases. `n` starts at 0 (the empty graph) and sparse
+/// edge lists leave isolated vertices. Shape 1 keeps only the edges
+/// inside one part (every shard all-interior), shape 2 only the edges
+/// across parts (every row all-ghost), shape 3 at most four edges, and
+/// shape 0 keeps every edge.
+fn arb_shard_inputs() -> impl Strategy<Value = (Csr, usize)> {
+    (0usize..60, 1usize..8, 0u8..4)
+        .prop_flat_map(|(n, k, shape)| {
+            let v = 0..n.max(1) as VertexId;
+            let edges = proptest::collection::vec((v.clone(), v), 0..200);
+            (Just(n), Just(k), Just(shape), edges)
+        })
+        .prop_map(|(n, k, shape, mut edges)| {
+            let part = Partitioning::contiguous(&Csr::empty(n), k).part_of;
+            let same = |(u, w): &(VertexId, VertexId)| part[*u as usize] == part[*w as usize];
+            match shape {
+                _ if n == 0 => edges.clear(),
+                1 => edges.retain(same),
+                2 => edges.retain(|e| !same(e)),
+                3 => edges.truncate(4),
+                _ => {}
+            }
+            (from_undirected_edges(n, edges), k)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn shard_extraction_matches_the_oracle((g, k) in arb_shard_inputs()) {
+        let p = Partitioning::contiguous(&g, k);
+        let shards = p.extract_shards(&g);
+        prop_assert_eq!(shards.len(), p.num_parts());
+        for (pid, (s, &(lo, hi))) in shards.iter().zip(&p.ranges).enumerate() {
+            let want = oracle_extract(&g, pid as u32, lo, hi);
+            prop_assert_eq!(s.id, want.id);
+            prop_assert_eq!(s.owned_start, want.owned_start);
+            prop_assert_eq!(s.num_owned, want.num_owned);
+            prop_assert_eq!(&s.ghost_gids, &want.ghost_gids);
+            prop_assert_eq!(&s.boundary_locals, &want.boundary_locals);
+            prop_assert_eq!(s.graph.row_offsets(), want.graph.row_offsets());
+            prop_assert_eq!(s.graph.col_indices(), want.graph.col_indices());
+            prop_assert_eq!(s.owned_subgraph(), oracle_owned_subgraph(&want));
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn builder_output_is_always_valid_csr((n, edges) in arb_graph_inputs()) {
@@ -24,6 +136,24 @@ proptest! {
         prop_assert!(g.is_symmetric());
         prop_assert!(g.has_no_self_loops());
         prop_assert!(g.has_sorted_unique_neighbors());
+    }
+
+    #[test]
+    fn sorted_rows_check_matches_a_per_row_scan(
+        lens in proptest::collection::vec(0u32..4, 1..12),
+        cols in proptest::collection::vec(0u32..3, 0..40),
+    ) {
+        // Raw arrays, not builder output: rows come out sorted or not at
+        // random, with empty rows and duplicates mixed in.
+        let mut r = vec![0u32];
+        for len in lens {
+            r.push((r[r.len() - 1] + len).min(cols.len() as u32));
+        }
+        let n = r.len() - 1;
+        let c: Vec<VertexId> = cols[..r[n] as usize].iter().map(|&w| w % n as u32).collect();
+        let g = Csr::new(r, c);
+        let per_row = g.vertices().all(|v| g.neighbors(v).is_sorted());
+        prop_assert_eq!(g.has_sorted_rows(), per_row);
     }
 
     #[test]
@@ -164,10 +294,11 @@ proptest! {
             prop_assert!((lo as usize..hi as usize).contains(&v));
         }
         // Boundary flags agree with a direct recomputation.
+        let boundary = p.boundary(&g);
         for v in 0..n as VertexId {
             let expect = g.neighbors(v).iter()
                 .any(|&w| p.part_of[w as usize] != p.part_of[v as usize]);
-            prop_assert_eq!(p.boundary[v as usize], expect);
+            prop_assert_eq!(boundary[v as usize], expect);
         }
     }
 

@@ -7,9 +7,9 @@
 //! work so a slowdown in that path shows up in `cargo bench -p
 //! gcol-bench --bench simt_hotpath` before it shows up in full figure
 //! runs. Headline before/after wall-clock numbers for the overhaul live
-//! in `BENCH_simt.json` at the repo root (measured with the
-//! `hotpath` bin, which these benches mirror at a criterion-friendly
-//! scale).
+//! in `BENCH_simt.json` at the repo root (measured with
+//! `gcol-bench hotpath`, which these benches mirror at a
+//! criterion-friendly scale).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gcol_bench::suite::build_graph;
@@ -24,7 +24,7 @@ fn opts() -> ColorOptions {
     }
 }
 
-/// The four paper schemes the `hotpath` bin drives, at a scale criterion
+/// The four paper schemes `gcol-bench hotpath` drives, at a scale criterion
 /// can sample in seconds. Topology-driven schemes stress plain-`Ld`
 /// (L2-only) replay; `*Ldg` variants add the read-only-cache probe path;
 /// data-driven schemes add worklist atomics.

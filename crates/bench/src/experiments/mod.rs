@@ -12,6 +12,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod hashsweep;
+pub mod hotpath;
 pub mod incremental;
 pub mod loadgen;
 pub mod planner;

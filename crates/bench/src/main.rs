@@ -2,9 +2,10 @@
 
 use gcol_bench::experiments::{
     self, ablation, archsweep, calibrate, convergence, fig1, fig3, fig6, fig7, fig8, hashsweep,
-    incremental, loadgen, planner, planner_calibrate, profile, quality, relabel, sanitize, scaling,
-    shardscale, table1, variance, ExpConfig,
+    hotpath, incremental, loadgen, planner, planner_calibrate, profile, quality, relabel, sanitize,
+    scaling, shardscale, table1, variance, ExpConfig,
 };
+use gcol_core::Scheme;
 use gcol_graph::gen::{self, RmatParams};
 use gcol_graph::Csr;
 use gcol_serve::{serve_lines, Service, ServiceConfig};
@@ -67,6 +68,9 @@ COMMANDS:
                 the {1,--workers} x {unique,duplicate} A/B grid; --smoke runs
                 the CI invariant checks (0 rejections idle, 100% cache hits
                 on a duplicate-only replay)
+    hotpath     simulator hot-path wall clock of --schemes on rmat-er at
+                --scale, with modeled ms, colors, iterations and an exact
+                digest of every modeled hardware counter per run
     serve       run the coloring service on stdio (or --listen HOST:PORT,
                 one connection), speaking the line-delimited JSON protocol
                 of gcol-serve: {\"op\":\"color\",\"graph\":{...},...} per line
@@ -78,7 +82,7 @@ OPTIONS:
                   .edges), then by content sniffing. Suite experiments
                   shrink to this one graph; shardscale, incremental,
                   profile, hashsweep and variance swap their generated
-                  workload for it; scaling and loadgen ignore it
+                  workload for it; scaling, loadgen and hotpath ignore it
     --scale N     log2-equivalent suite scale (default 15; the paper's
                   experiments correspond to 20 — expect long runtimes on a
                   laptop at that size)
@@ -112,6 +116,10 @@ OPTIONS:
                   report) for diffing against the checked-in baseline at
                   crates/bench/tests/data/sanitize_baseline.json
 
+HOTPATH OPTIONS:
+    --repeat N    timed runs per scheme (default 3)
+    --schemes L   comma-separated scheme names (default T-base,D-base)
+
 SERVICE OPTIONS (loadgen / serve):
     --workers N   service worker threads (default 4)
     --jobs N      loadgen: jobs per trace replay (default 200)
@@ -134,6 +142,8 @@ fn main() {
     let command = args[0].clone();
     let mut cfg = ExpConfig::default();
     let mut lg = loadgen::LoadgenOptions::default();
+    let mut repeat = 3;
+    let mut schemes = vec![Scheme::TopoBase, Scheme::DataBase];
     let mut listen: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
     let mut i = 1;
@@ -265,6 +275,23 @@ fn main() {
                 cfg.smoke = true;
                 i += 1;
             }
+            "--repeat" => {
+                repeat = args
+                    .get(i + 1)
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| die("--repeat needs an integer"));
+                i += 2;
+            }
+            "--schemes" => {
+                let list = args
+                    .get(i + 1)
+                    .unwrap_or_else(|| die("--schemes needs a comma-separated list"));
+                schemes = list
+                    .split(',')
+                    .map(|s| s.parse().unwrap_or_else(|e: String| die(&e)))
+                    .collect();
+                i += 2;
+            }
             "--listen" => {
                 listen = Some(
                     args.get(i + 1)
@@ -312,6 +339,7 @@ fn main() {
         "sanitize" => println!("{}", sanitize::run(&cfg)),
         "variance" => println!("{}", variance::run(&cfg)),
         "loadgen" => println!("{}", loadgen::run(&cfg, &lg)),
+        "hotpath" => print!("{}", hotpath::run(&cfg, &schemes, repeat)),
         "serve" => run_serve(&lg, listen.as_deref()),
         "planner" => println!("{}", planner::run(&cfg)),
         "planner-calibrate" => println!("{}", planner_calibrate::run(&cfg)),

@@ -84,6 +84,7 @@ pub fn maybe_write_json<T: Serialize>(path: Option<&str>, value: &T) -> std::io:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcol_serve::json::{self, Json};
 
     #[test]
     fn renders_aligned() {
@@ -117,8 +118,8 @@ mod tests {
         let dir = std::env::temp_dir().join("gcol-report-test.json");
         let path = dir.to_str().unwrap();
         maybe_write_json(Some(path), &vec![1, 2, 3]).unwrap();
-        let back: Vec<u32> = serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
-        assert_eq!(back, vec![1, 2, 3]);
+        let back = json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        assert_eq!(back, Json::Arr([1.0, 2.0, 3.0].map(Json::Num).to_vec()));
         std::fs::remove_file(path).ok();
         // None path is a no-op.
         maybe_write_json(None, &42).unwrap();

@@ -14,11 +14,11 @@
 use gcol_graph::gen;
 use gcol_graph::stats::{DegreeStats, GraphProfile};
 use gcol_graph::Csr;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The paper's published Table I row for a graph (for side-by-side
 /// reporting).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct PaperRow {
     /// Vertices.
     pub vertices: usize,

@@ -36,7 +36,7 @@ use gcol_graph::check::Color;
 use gcol_graph::ordering::Ordering;
 use gcol_graph::Csr;
 use gcol_simt::{CpuModel, Device, ExecMode, NativeBackend, SimtBackend};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 pub use gcol_graph::check::{
     compact_colors, count_colors, count_conflicts, verify_coloring, ColoringViolation,
@@ -245,7 +245,7 @@ impl Coloring {
 
 /// The coloring schemes of the paper's evaluation (§IV) plus the two CPU
 /// context algorithms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Scheme {
     /// Algorithm 1 on one CPU core — the baseline of every speedup.
     Sequential,
@@ -280,10 +280,9 @@ pub enum Scheme {
 }
 
 impl Scheme {
-    /// Every built-in scheme, in the canonical registry order (paper's
-    /// seven first, then the ablations/extensions, then the CPU context
-    /// algorithms). The single source of truth for registries, CLIs and
-    /// tests.
+    /// Every built-in scheme, in canonical order (paper's seven first,
+    /// then the ablations/extensions, then the CPU context algorithms).
+    /// The single source of truth for CLIs and tests.
     pub const ALL: [Scheme; 14] = [
         Scheme::Sequential,
         Scheme::ThreeStepGm,
@@ -611,43 +610,6 @@ impl std::str::FromStr for SchemeChoice {
     }
 }
 
-/// Object-safe interface for coloring algorithms, so downstream users can
-/// plug their own schemes into harnesses written against the built-in
-/// ones. Every [`Scheme`] implements it by dispatching to itself.
-pub trait Colorer: Sync {
-    /// Display name for reports.
-    fn label(&self) -> &str;
-
-    /// Colors `g`, using the simulated `dev` if the algorithm runs there;
-    /// errors (non-convergence, bad options) come back as [`ColorError`].
-    fn try_run(&self, g: &Csr, dev: &Device, opts: &ColorOptions) -> Result<Coloring, ColorError>;
-
-    /// Colors `g`, panicking on [`ColorError`] — for harnesses that treat
-    /// failure as a bug.
-    fn run(&self, g: &Csr, dev: &Device, opts: &ColorOptions) -> Coloring {
-        self.try_run(g, dev, opts)
-            .unwrap_or_else(|e| panic!("{}: {e}", self.label()))
-    }
-}
-
-impl Colorer for Scheme {
-    fn label(&self) -> &str {
-        self.name()
-    }
-    fn try_run(&self, g: &Csr, dev: &Device, opts: &ColorOptions) -> Result<Coloring, ColorError> {
-        self.try_color(g, dev, opts)
-    }
-}
-
-/// All built-in schemes as trait objects — a ready-made registry
-/// ([`Scheme::ALL`] boxed).
-pub fn all_colorers() -> Vec<Box<dyn Colorer>> {
-    Scheme::ALL
-        .into_iter()
-        .map(|s| Box::new(s) as Box<dyn Colorer>)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -677,21 +639,6 @@ mod tests {
         let err = "no-such-scheme".parse::<Scheme>().unwrap_err();
         assert!(err.contains("unknown scheme"), "{err}");
         assert!(err.contains("T-ldg"), "{err}");
-    }
-
-    #[test]
-    fn registry_covers_every_scheme_and_colors_properly() {
-        let dev = Device::tiny();
-        let g = erdos_renyi(200, 1200, 4);
-        let opts = ColorOptions::default();
-        let registry = all_colorers();
-        assert_eq!(registry.len(), Scheme::ALL.len());
-        let mut names = std::collections::HashSet::new();
-        for colorer in &registry {
-            assert!(names.insert(colorer.label().to_string()), "dup name");
-            let r = colorer.run(&g, &dev, &opts);
-            verify_coloring(&g, &r.colors).unwrap_or_else(|e| panic!("{}: {e}", colorer.label()));
-        }
     }
 
     #[test]

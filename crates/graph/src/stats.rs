@@ -8,7 +8,7 @@
 
 use crate::csr::Csr;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Raw degree moments accumulated in a single serial O(n) pass over the
 /// CSR row offsets. No allocation: degrees are read as offset differences,
@@ -90,7 +90,7 @@ impl DegreeMoments {
 /// The per-graph summary the paper reports in Table I: vertex/edge counts,
 /// min/max/average degree and the (population) variance of the degree
 /// distribution, plus structural symmetry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DegreeStats {
     /// Number of vertices (rows).
     pub num_vertices: usize,
@@ -133,7 +133,7 @@ impl DegreeStats {
 /// conditions on, extracted in one O(n) pass off the CSR with no
 /// allocation. A superset of the Table I degree columns plus density and
 /// skew.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct GraphProfile {
     /// Number of vertices.
     pub num_vertices: usize,

@@ -25,11 +25,8 @@
 
 pub mod model;
 
-use gcol_core::{
-    BackendKind, ColorError, ColorOptions, Colorer, Coloring, ExchangeKind, JobSpec, Scheme,
-};
+use gcol_core::{BackendKind, ColorOptions, ExchangeKind, JobSpec, Scheme};
 use gcol_graph::{Csr, GraphProfile};
-use gcol_simt::Device;
 
 pub use model::{SchemeModel, MODELS, NUM_FEATURES};
 
@@ -393,10 +390,9 @@ fn choose_shards(
     }
 }
 
-/// An adaptive [`Colorer`]: profiles the graph, plans under its SLO and
-/// the resource envelope implied by the run's [`ColorOptions`], then
-/// runs the resolved scheme. This is how harnesses written against the
-/// `Colorer` registry get `scheme: "auto"` without knowing the planner.
+/// The `scheme: "auto"` resolver: profiles the graph and plans under its
+/// SLO and the resource envelope implied by the run's [`ColorOptions`].
+/// Front ends run the resolved plan through [`Scheme::try_color`].
 #[derive(Debug, Clone)]
 pub struct AutoColorer {
     slo: Slo,
@@ -420,19 +416,6 @@ impl AutoColorer {
             self.slo,
             &Resources::from_options(opts),
         )
-    }
-}
-
-impl Colorer for AutoColorer {
-    fn label(&self) -> &str {
-        "auto"
-    }
-
-    fn try_run(&self, g: &Csr, dev: &Device, opts: &ColorOptions) -> Result<Coloring, ColorError> {
-        let plan = self.plan_for(g, opts);
-        let mut opts = opts.clone();
-        plan.apply(&mut opts);
-        plan.scheme.try_color(g, dev, &opts)
     }
 }
 
@@ -613,19 +596,16 @@ mod tests {
     }
 
     #[test]
-    fn auto_colorer_runs_the_plan_it_reports() {
+    fn auto_colorer_plans_the_profiled_graph_under_its_options() {
         let g = gcol_graph::gen::simple::erdos_renyi(200, 1000, 3);
-        let dev = Device::tiny();
         let opts = ColorOptions::default();
-        let auto = AutoColorer::new(Slo::FastestWall);
-        assert_eq!(auto.label(), "auto");
-        let plan = auto.plan_for(&g, &opts);
-        let r = auto.run(&g, &dev, &opts);
-        assert_eq!(r.scheme, plan.scheme);
-        gcol_core::verify_coloring(&g, &r.colors).unwrap();
-        // Direct execution of the resolved plan is bit-identical.
-        let direct = plan.scheme.color(&g, &dev, &plan.spec(&opts).opts);
-        assert_eq!(direct.colors, r.colors);
+        let plan = AutoColorer::new(Slo::FastestWall).plan_for(&g, &opts);
+        let direct = Planner::new().plan(
+            &GraphProfile::extract(&g),
+            Slo::FastestWall,
+            &Resources::from_options(&opts),
+        );
+        assert_eq!(plan, direct);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! A minimal, self-contained JSON codec for the wire protocol.
+//! A minimal, self-contained JSON codec for the wire protocol, and the
+//! workspace's only JSON parser.
 //!
-//! The workspace's `serde_json` is reserved for *writing* experiment
-//! reports; the service protocol needs to *parse* requests from external
-//! load generators, and pulling a full parser dependency for a
-//! line-delimited protocol with six message fields is not worth it in a
-//! deliberately dependency-light tree. This is a strict, small (≈200
-//! line) recursive-descent parser plus a writer, covering exactly the
-//! JSON subset the protocol uses: objects, arrays, strings (with `\uXXXX`
+//! The `serde_json` shim is write-only: it renders experiment reports
+//! and has no parser. Whatever the workspace reads back — protocol
+//! requests from external load generators, and the reports themselves in
+//! tests — goes through [`parse`]. This is a strict, small (≈200 line)
+//! recursive-descent parser plus a writer, covering exactly the JSON
+//! subset the protocol uses: objects, arrays, strings (with `\uXXXX`
 //! escapes), finite numbers, booleans and null.
 //!
 //! Numbers are kept as `f64`, which is exact for every integer the

@@ -78,7 +78,8 @@ pub type GraphResolver<'a> = dyn Fn(&str, u32, u64) -> Result<Arc<Csr>, String> 
 
 /// Serves `reader` until EOF or a `shutdown` request, then drains the
 /// service and returns its final stats. Every accepted job's response is
-/// written before this returns.
+/// written before this returns — also when reading or writing fails, in
+/// which case the drain runs first and the I/O error is returned after.
 pub fn serve_lines<R, W>(
     service: Service,
     reader: R,
@@ -91,6 +92,30 @@ where
 {
     let writer = Arc::new(Mutex::named("conn-writer", writer));
     let mut responders: Vec<thread::JoinHandle<()>> = Vec::new();
+    let served = serve_requests(&service, reader, &writer, &mut responders, resolve);
+    // Drain: every accepted handle resolves, then every responder has a
+    // resolved handle to write out.
+    let stats = service.shutdown();
+    for r in responders {
+        let _ = r.join();
+    }
+    served.map(|()| stats)
+}
+
+/// The request loop of [`serve_lines`]: answers each line until EOF, a
+/// `shutdown` request or an I/O error. Accepted jobs leave a responder
+/// thread in `responders` for the caller to join after the drain.
+fn serve_requests<R, W>(
+    service: &Service,
+    mut reader: R,
+    writer: &Arc<Mutex<W>>,
+    responders: &mut Vec<thread::JoinHandle<()>>,
+    resolve: &GraphResolver<'_>,
+) -> std::io::Result<()>
+where
+    R: BufRead,
+    W: Write + Send + 'static,
+{
     let mut graphs: HashMap<(String, u32, u64), Arc<Csr>> = HashMap::new();
     let mut session: Option<Session> = None;
     let mut upload: Option<Upload> = None;
@@ -101,21 +126,43 @@ where
         w.flush()
     };
 
-    for line in reader.lines() {
-        let line = line?;
+    loop {
+        // Reading bytes rather than `lines()` keeps a line that is not
+        // UTF-8 a bad request instead of an I/O error that would end the
+        // connection. The buffer is per line, as with `lines()`: one
+        // kept for the connection would pin the largest upload chunk.
+        let mut buf = Vec::new();
+        if reader.read_until(b'\n', &mut buf)? == 0 {
+            break;
+        }
+        // Strip the terminator exactly as `BufRead::lines` does.
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        }
+        let line = match std::str::from_utf8(&buf) {
+            Ok(line) => line,
+            Err(e) => {
+                let msg = format!("request line is not UTF-8: {e}");
+                write_line(writer, proto::error_response(None, "bad-request", &msg))?;
+                continue;
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let req = match Request::parse(&line) {
+        let req = match Request::parse(line) {
             Ok(req) => req,
             Err(msg) => {
-                write_line(&writer, proto::error_response(None, "bad-request", &msg))?;
+                write_line(writer, proto::error_response(None, "bad-request", &msg))?;
                 continue;
             }
         };
         match req {
             Request::Stats { id } => {
-                write_line(&writer, proto::stats_response(id, &service.stats()))?;
+                write_line(writer, proto::stats_response(id, &service.stats()))?;
             }
             Request::Mutate { id, graph, edits } => {
                 // `"graph":"session"` names the graph already installed
@@ -130,14 +177,14 @@ where
                             });
                         }
                         Err(msg) => {
-                            write_line(&writer, proto::error_response(id, "unknown-graph", &msg))?;
+                            write_line(writer, proto::error_response(id, "unknown-graph", &msg))?;
                             continue;
                         }
                     }
                 }
                 let Some(sess) = session.as_mut() else {
                     write_line(
-                        &writer,
+                        writer,
                         proto::error_response(
                             id,
                             "no-graph",
@@ -151,13 +198,13 @@ where
                         sess.graph = Arc::new(g);
                         sess.dirty.extend(touched.iter().copied());
                         write_line(
-                            &writer,
+                            writer,
                             proto::mutate_response(id, touched.len(), &sess.graph),
                         )?;
                     }
                     Err(e) => {
                         write_line(
-                            &writer,
+                            writer,
                             proto::error_response(id, "bad-edit", &e.to_string()),
                         )?;
                     }
@@ -177,7 +224,7 @@ where
                     let rej = Rejection::ShuttingDown;
                     upload = None;
                     write_line(
-                        &writer,
+                        writer,
                         proto::error_response(id, proto::rejection_code(&rej), &rej.to_string()),
                     )?;
                     continue;
@@ -200,7 +247,7 @@ where
                         };
                         upload = None;
                         write_line(
-                            &writer,
+                            writer,
                             proto::error_response(
                                 id,
                                 proto::rejection_code(&rej),
@@ -211,13 +258,13 @@ where
                     }
                 }
                 if !last {
-                    write_line(&writer, proto::loading_response(id, up.data.len()))?;
+                    write_line(writer, proto::loading_response(id, up.data.len()))?;
                     continue;
                 }
                 let up = upload.take().expect("buffer exists: inserted above");
                 let Some(fmt) = up.format.or_else(|| GraphFormat::sniff(&up.data)) else {
                     write_line(
-                        &writer,
+                        writer,
                         proto::error_response(
                             id,
                             "bad-graph",
@@ -260,7 +307,7 @@ where
                         None => proto::error_response(id, "bad-graph", &e.to_string()),
                     },
                 };
-                write_line(&writer, line)?;
+                write_line(writer, line)?;
             }
             Request::Recolor {
                 id,
@@ -272,7 +319,7 @@ where
                 // silently discard the baseline it exists to reuse.
                 let Some(spec) = spec.fixed() else {
                     write_line(
-                        &writer,
+                        writer,
                         proto::error_response(
                             id,
                             "bad-request",
@@ -284,7 +331,7 @@ where
                 };
                 let Some(sess) = session.as_mut() else {
                     write_line(
-                        &writer,
+                        writer,
                         proto::error_response(
                             id,
                             "no-graph",
@@ -329,10 +376,10 @@ where
                         Err(e) => proto::error_response(id, "coloring-failed", &e.to_string()),
                     }
                 };
-                write_line(&writer, line)?;
+                write_line(writer, line)?;
             }
             Request::Shutdown { id } => {
-                write_line(&writer, proto::ack_response(id, "draining"))?;
+                write_line(writer, proto::ack_response(id, "draining"))?;
                 break;
             }
             Request::Color {
@@ -351,7 +398,7 @@ where
                         Some(s) => Arc::clone(&s.graph),
                         None => {
                             write_line(
-                                &writer,
+                                writer,
                                 proto::error_response(
                                     id,
                                     "no-graph",
@@ -364,7 +411,7 @@ where
                     other => match lookup_graph(&mut graphs, resolve, other) {
                         Ok(g) => g,
                         Err(msg) => {
-                            write_line(&writer, proto::error_response(id, "unknown-graph", &msg))?;
+                            write_line(writer, proto::error_response(id, "unknown-graph", &msg))?;
                             continue;
                         }
                     },
@@ -391,7 +438,7 @@ where
                 };
                 match service.submit(req) {
                     Err(rej) => write_line(
-                        &writer,
+                        writer,
                         proto::error_response(id, proto::rejection_code(&rej), &rej.to_string()),
                     )?,
                     Ok(handle) => {
@@ -406,7 +453,7 @@ where
                                 i += 1;
                             }
                         }
-                        let writer = Arc::clone(&writer);
+                        let writer = Arc::clone(writer);
                         responders.push(thread::spawn(move || {
                             let line = match handle.wait() {
                                 Ok(r) => proto::ok_response(
@@ -431,11 +478,5 @@ where
             }
         }
     }
-    // Drain: every accepted handle resolves, then every responder has a
-    // resolved handle to write out.
-    let stats = service.shutdown();
-    for r in responders {
-        let _ = r.join();
-    }
-    Ok(stats)
+    Ok(())
 }

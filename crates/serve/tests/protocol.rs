@@ -6,7 +6,7 @@ use gcol_graph::gen::{self, RmatParams};
 use gcol_serve::json::{self, Json};
 use gcol_serve::{serve_lines, Service, ServiceConfig};
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{BufReader, Read, Write};
 use std::sync::{Arc, Mutex};
 
 /// A `Write` the test can read back after `serve_lines` consumes it.
@@ -23,7 +23,7 @@ impl Write for SharedBuf {
     }
 }
 
-fn run_session(input: &str) -> (Vec<Json>, gcol_serve::ServiceStats) {
+fn run_session(input: &(impl AsRef<[u8]> + ?Sized)) -> (Vec<Json>, gcol_serve::ServiceStats) {
     run_session_with(
         ServiceConfig {
             num_workers: 2,
@@ -33,14 +33,17 @@ fn run_session(input: &str) -> (Vec<Json>, gcol_serve::ServiceStats) {
     )
 }
 
-fn run_session_with(config: ServiceConfig, input: &str) -> (Vec<Json>, gcol_serve::ServiceStats) {
+fn run_session_with(
+    config: ServiceConfig,
+    input: &(impl AsRef<[u8]> + ?Sized),
+) -> (Vec<Json>, gcol_serve::ServiceStats) {
     let svc = Service::start(config);
     let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
     let resolve = |name: &str, scale: u32, seed: u64| match name {
         "rmat" => Ok(Arc::new(gen::rmat(RmatParams::erdos_renyi(scale, 8), seed))),
         other => Err(format!("unknown graph generator '{other}'")),
     };
-    let stats = serve_lines(svc, input.as_bytes(), buf.clone(), &resolve).unwrap();
+    let stats = serve_lines(svc, input.as_ref(), buf.clone(), &resolve).unwrap();
     let bytes = buf.0.lock().unwrap().clone();
     let lines = String::from_utf8(bytes)
         .unwrap()
@@ -314,6 +317,64 @@ fn bad_lines_get_typed_errors_and_do_not_kill_the_session() {
     );
     assert_eq!(resp[&8].get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(stats.accepted, 1);
+}
+
+#[test]
+fn a_line_that_is_not_utf8_is_a_bad_request_and_the_session_continues() {
+    let mut input = Vec::new();
+    input.extend_from_slice(
+        br#"{"id":1,"op":"color","graph":{"gen":"rmat","scale":4,"seed":1},"backend":"native"}"#,
+    );
+    input.extend_from_slice(b"\n\xff\r\n");
+    input.extend_from_slice(br#"{"id":2,"op":"stats"}"#);
+    input.push(b'\n');
+    // A bad byte is a bad request, not an I/O error that ends the
+    // connection: `serve_lines` returns Ok and answers request 2.
+    let (lines, stats) = run_session(&input);
+    assert_eq!(lines.len(), 3, "{lines:?}");
+    let bad: Vec<&Json> = lines
+        .iter()
+        .filter(|l| l.get("error").and_then(Json::as_str) == Some("bad-request"))
+        .collect();
+    assert_eq!(bad.len(), 1, "{lines:?}");
+    assert_eq!(bad[0].get("id"), None, "the line's id is unreadable");
+    let detail = bad[0].get("detail").and_then(Json::as_str).unwrap();
+    assert!(detail.contains("UTF-8"), "{detail}");
+    let resp = by_id(&lines);
+    assert_eq!(resp[&1].get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(resp[&2].get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(stats.accepted, 1);
+}
+
+/// A connection whose next read fails, as a reset socket does.
+struct Reset;
+
+impl Read for Reset {
+    fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+        Err(std::io::Error::other("connection reset"))
+    }
+}
+
+#[test]
+fn a_read_error_drains_the_service_before_returning() {
+    let line = concat!(
+        r#"{"id":1,"op":"color","graph":{"gen":"rmat","scale":6,"seed":1},"backend":"native"}"#,
+        "\n"
+    );
+    let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
+    let resolve = |_: &str, scale: u32, seed: u64| {
+        Ok(Arc::new(gen::rmat(RmatParams::erdos_renyi(scale, 8), seed)))
+    };
+    let reader = BufReader::new(line.as_bytes().chain(Reset));
+    let svc = Service::start(ServiceConfig::default());
+    let err = serve_lines(svc, reader, buf.clone(), &resolve).unwrap_err();
+    assert_eq!(err.to_string(), "connection reset");
+    // The accepted job's response is already written: the error path
+    // ran the drain and joined the responder first.
+    let out = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+    let resp = json::parse(out.trim_end()).expect("one whole response line");
+    assert_eq!(resp.get("id").and_then(Json::as_u64), Some(1));
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
 }
 
 // The paper's Fig. 2 graph (5 vertices, 7 undirected edges) as DIMACS

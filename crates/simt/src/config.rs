@@ -2,14 +2,14 @@
 //! consumes. The default preset is the NVIDIA K20c (Kepler GK110) the paper
 //! evaluates on; a tiny synthetic device is provided for fast unit tests.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Architectural description of a simulated GPU.
 ///
 /// Latency numbers follow §III-C of the paper (read-only cache ≈ 30 cycles,
 /// DRAM ≈ 300 cycles); capacity/throughput numbers follow the GK110
 /// whitepaper and the K20c product specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Device {
     /// Human-readable name.
     pub name: String,

@@ -9,10 +9,10 @@
 //! edge traversal); `gcol-bench` re-checks the calibration at runtime and
 //! reports the measured figure next to the modeled one.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A simple throughput cost model of one CPU core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CpuModel {
     /// Core clock in GHz.
     pub clock_ghz: f64,

@@ -3,10 +3,10 @@
 //! how the paper times "only the computation part of each program".
 
 use crate::timing::KernelStats;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One entry of a run's timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Phase {
     /// A device kernel.
     Kernel(KernelStats),
@@ -39,7 +39,7 @@ impl Phase {
 }
 
 /// The modeled timeline of one algorithm run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct RunProfile {
     /// Phases in execution order.
     pub phases: Vec<Phase>,

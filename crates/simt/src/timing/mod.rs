@@ -29,10 +29,10 @@ use crate::config::Device;
 use crate::trace::{OpKind, WarpTrace, KIND_ORDER, MAX_WARP_LANES};
 use cache::Cache;
 use occupancy::Occupancy;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Fraction-of-stalls breakdown in the style of Fig. 3(b).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub struct StallBreakdown {
     /// Waiting on outstanding memory (the dominant reason in the paper).
     pub memory_dependency: f64,
@@ -47,7 +47,7 @@ pub struct StallBreakdown {
 }
 
 /// Aggregate result of one kernel launch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct KernelStats {
     /// Kernel name.
     pub name: String,

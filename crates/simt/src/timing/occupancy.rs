@@ -9,10 +9,10 @@
 //! into latency-hiding capability.
 
 use crate::config::Device;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which resource bound the number of resident blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Limiter {
     /// `max_threads_per_sm / block_threads`.
     Threads,
@@ -27,7 +27,7 @@ pub enum Limiter {
 }
 
 /// Result of the occupancy computation for one kernel launch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Occupancy {
     /// Blocks resident per SM.
     pub resident_blocks: u32,

@@ -21,16 +21,20 @@
 //! {unique, duplicate} — producing the `service_throughput` table of
 //! BENCH_simt.json in one command. `--smoke` instead runs the fast CI
 //! invariant checks (zero rejections on an idle service, 100% cache
-//! hits on a duplicate-only replay) and panics on any violation.
+//! hits on a duplicate-only replay, and the same replay over the line
+//! protocol serving every hit the cold line's assignment byte for byte)
+//! and panics on any violation.
 
 use super::ExpConfig;
 use crate::report::{f, maybe_write_json, speedup, Table};
 use gcol_core::{JobSpec, Scheme};
 use gcol_graph::gen::{self, RmatParams};
 use gcol_graph::Csr;
-use gcol_serve::{JobRequest, ResultSource, Service, ServiceConfig};
+use gcol_serve::proto::{self, Request};
+use gcol_serve::{serve_lines, JobRequest, ResultSource, Service, ServiceConfig};
 use serde::Serialize;
-use std::sync::Arc;
+use std::io::Write;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Distinct jobs in the duplicate-heavy trace.
@@ -311,6 +315,10 @@ pub fn run(cfg: &ExpConfig, opts: &LoadgenOptions) -> String {
 /// 2. **A duplicate-only replay is 100% cache hits** — after one warm
 ///    execution, every identical request is served from the cache, and
 ///    the service executes exactly once.
+/// 3. **Over the line protocol, a hit serves the cold assignment** — the
+///    same replay through [`serve_lines`] with `"assignment":true`: every
+///    hit line's `assignment` equals the cold line's byte for byte (the
+///    cold line is [`proto::ok_response`], as the server renders it).
 fn smoke(cfg: &ExpConfig, opts: &LoadgenOptions) -> String {
     let g = workload(cfg);
     let jobs = opts.jobs.min(32);
@@ -368,9 +376,106 @@ fn smoke(cfg: &ExpConfig, opts: &LoadgenOptions) -> String {
         "smoke: duplicate replay not 100% cache hits"
     );
 
+    let kept = served_duplicates_smoke(cfg, opts, &g, jobs);
+
     format!(
         "loadgen --smoke OK: {jobs} idle submissions, 0 rejections; \
-         duplicate-only replay 100% cache hits ({} hits, 1 execution)\n",
+         duplicate-only replay 100% cache hits ({} hits, 1 execution); \
+         served replay: {jobs} hit assignments byte-identical to the cold one \
+         ({kept} bytes kept)\n",
         dup.cache_hits
     )
+}
+
+/// Smoke check 3: `jobs` duplicate `color` requests with
+/// `"assignment":true` through [`serve_lines`], against a service that
+/// already ran the job, so each is a cache hit. Every hit line's
+/// assignment must equal the cold line's. Returns the assignment bytes
+/// the cache keeps at the end.
+fn served_duplicates_smoke(
+    cfg: &ExpConfig,
+    opts: &LoadgenOptions,
+    g: &Arc<Csr>,
+    jobs: usize,
+) -> usize {
+    let request = |id: usize| {
+        format!(
+            "{{\"id\":{id},\"graph\":{{\"gen\":\"loadgen\",\"scale\":{},\"seed\":0}},\
+             \"scheme\":\"T-base\",\"backend\":\"{}\",\"assignment\":true}}\n",
+            cfg.scale, cfg.backend
+        )
+    };
+    let Ok(Request::Color { spec, .. }) = Request::parse(request(0).trim_end()) else {
+        panic!("smoke: the served request does not parse");
+    };
+    let spec = spec.fixed().expect("smoke: T-base is a fixed scheme");
+    let service = Service::start(ServiceConfig {
+        num_workers: opts.workers.max(1),
+        queue_capacity: 16,
+        ..ServiceConfig::default()
+    });
+    let cold = service
+        .submit(JobRequest::new(Arc::clone(g), spec))
+        .expect("smoke: warm submission rejected")
+        .wait()
+        .expect("smoke: warm run failed");
+    let cold_line = proto::ok_response(Some(0), &cold, true, None);
+    let cold_body = assignment_of(&cold_line);
+
+    let input: String = (1..=jobs).map(request).collect();
+    let out = Captured::default();
+    let resolve = |name: &str, _: u32, _: u64| match name {
+        "loadgen" => Ok(Arc::clone(g)),
+        other => Err(format!("unknown graph {other:?}")),
+    };
+    let stats = serve_lines(service, input.as_bytes(), out.clone(), &resolve)
+        .expect("smoke: serve I/O failed");
+    let out = String::from_utf8(out.0.lock().expect("smoke: writer lock").clone())
+        .expect("smoke: response lines are UTF-8");
+    assert_eq!(
+        out.lines().count(),
+        jobs,
+        "smoke: a served duplicate got no line"
+    );
+    for line in out.lines() {
+        assert!(
+            line.contains("\"source\":\"cache-hit\""),
+            "smoke: served duplicate missed the cache: {line}"
+        );
+        assert!(
+            assignment_of(line) == cold_body,
+            "smoke: a hit's assignment differs from the cold line's"
+        );
+    }
+    assert_eq!(stats.executions, 1, "smoke: served replay re-executed");
+    assert_eq!(
+        stats.cache_assignment_bytes,
+        cold_body.len(),
+        "smoke: the cache does not keep exactly the one hit assignment"
+    );
+    stats.cache_assignment_bytes
+}
+
+/// The bytes between the `[` and `]` of a response line's `assignment`.
+fn assignment_of(line: &str) -> &str {
+    let body = line
+        .strip_prefix("{\"assignment\":[")
+        .unwrap_or_else(|| panic!("smoke: no assignment in {line}"));
+    &body[..body.find(']').expect("smoke: unterminated assignment")]
+}
+
+/// The server's output, read back once [`serve_lines`] returns.
+#[derive(Clone, Default)]
+struct Captured(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Captured {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        let mut out = self.0.lock().expect("smoke: writer lock");
+        out.extend_from_slice(data);
+        Ok(data.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }

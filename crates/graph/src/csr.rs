@@ -7,6 +7,7 @@
 //! defined — like the paper, we perform no locality- or balance-improving
 //! preprocessing.
 
+use crate::stats::GraphProfile;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -39,9 +40,18 @@ pub type VertexId = u32;
 pub struct Csr {
     row_offsets: Vec<u32>,
     col_indices: Vec<VertexId>,
-    /// [`Csr::content_fingerprint`], hashed on first use. Not part of the
-    /// graph's identity: equality ignores it and the one mutator resets it.
+    memo: Memo,
+}
+
+/// Whole-graph values computed on first use. Not part of the graph's
+/// identity: equality ignores them, `clone` carries them and the one
+/// mutator resets them.
+#[derive(Clone, Default)]
+struct Memo {
+    /// [`Csr::content_fingerprint`].
     fingerprint: OnceLock<u64>,
+    /// [`Csr::profile`].
+    profile: OnceLock<GraphProfile>,
 }
 
 impl PartialEq for Csr {
@@ -68,7 +78,7 @@ impl Csr {
         Ok(Self {
             row_offsets,
             col_indices,
-            fingerprint: OnceLock::new(),
+            memo: Memo::default(),
         })
     }
 
@@ -77,7 +87,7 @@ impl Csr {
         Self {
             row_offsets: vec![0; n + 1],
             col_indices: Vec::new(),
-            fingerprint: OnceLock::new(),
+            memo: Memo::default(),
         }
     }
 
@@ -239,7 +249,7 @@ impl Csr {
         let mut out = Csr {
             row_offsets: offsets,
             col_indices: cols,
-            fingerprint: OnceLock::new(),
+            memo: Memo::default(),
         };
         out.sort_neighbor_lists();
         out
@@ -247,7 +257,7 @@ impl Csr {
 
     /// Sorts every adjacency list in place.
     pub fn sort_neighbor_lists(&mut self) {
-        self.fingerprint = OnceLock::new();
+        self.memo = Memo::default();
         for v in 0..self.num_vertices() {
             let lo = self.row_offsets[v] as usize;
             let hi = self.row_offsets[v + 1] as usize;
@@ -283,7 +293,17 @@ impl Csr {
     /// (and carried by `clone`), so a server that keeps its graphs behind
     /// an `Arc` pays O(1) per request instead of O(n + m).
     pub fn content_fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| self.hash_arrays())
+        *self.memo.fingerprint.get_or_init(|| self.hash_arrays())
+    }
+
+    /// The planner's [`GraphProfile`] of this graph, extracted on first
+    /// use and memoized like [`Csr::content_fingerprint`], so planning a
+    /// request against a shared graph costs O(1) after the first.
+    pub fn profile(&self) -> GraphProfile {
+        *self
+            .memo
+            .profile
+            .get_or_init(|| GraphProfile::extract(self))
     }
 
     fn hash_arrays(&self) -> u64 {
@@ -475,7 +495,7 @@ mod tests {
             let raw = Csr {
                 row_offsets: r.clone(),
                 col_indices: c.clone(),
-                fingerprint: OnceLock::new(),
+                memo: Memo::default(),
             };
             assert_eq!(raw.validate(), Csr::try_new(r, c).map(|_| ()));
         }
@@ -557,9 +577,9 @@ mod tests {
     #[test]
     fn memoized_fingerprint_matches_a_fresh_hash() {
         let g = fig2_graph();
-        assert!(g.fingerprint.get().is_none());
+        assert!(g.memo.fingerprint.get().is_none());
         let first = g.content_fingerprint();
-        assert_eq!(g.fingerprint.get(), Some(&first));
+        assert_eq!(g.memo.fingerprint.get(), Some(&first));
         assert_eq!(g.content_fingerprint(), first);
         assert_eq!(first, g.hash_arrays());
         assert_eq!(first, fig2_graph().content_fingerprint());
@@ -570,7 +590,7 @@ mod tests {
         let g = fig2_graph();
         let fp = g.content_fingerprint();
         let c = g.clone();
-        assert_eq!(c.fingerprint.get(), Some(&fp));
+        assert_eq!(c.memo.fingerprint.get(), Some(&fp));
         assert_eq!(c.content_fingerprint(), c.hash_arrays());
     }
 
@@ -581,7 +601,7 @@ mod tests {
         let unsorted = g.content_fingerprint();
         g.sort_neighbor_lists();
         assert_eq!(g.neighbors(0), &[1, 2]);
-        assert!(g.fingerprint.get().is_none());
+        assert!(g.memo.fingerprint.get().is_none());
         let sorted = g.content_fingerprint();
         assert_ne!(sorted, unsorted);
         assert_eq!(
@@ -591,11 +611,24 @@ mod tests {
     }
 
     #[test]
+    fn memoized_profile_matches_a_fresh_extract() {
+        let mut g = Csr::new(vec![0, 2, 3, 4], vec![2, 1, 0, 0]);
+        assert!(g.memo.profile.get().is_none());
+        let p = g.profile();
+        assert_eq!(p, GraphProfile::extract(&g));
+        assert_eq!(g.memo.profile.get(), Some(&p));
+        assert_eq!(g.clone().memo.profile.get(), Some(&p));
+        g.sort_neighbor_lists();
+        assert!(g.memo.profile.get().is_none());
+        assert_eq!(g.profile(), GraphProfile::extract(&g));
+    }
+
+    #[test]
     fn equality_ignores_the_memo() {
         let filled = fig2_graph();
         filled.content_fingerprint();
         let empty = fig2_graph();
-        assert!(empty.fingerprint.get().is_none());
+        assert!(empty.memo.fingerprint.get().is_none());
         assert_eq!(filled, empty);
         assert_eq!(empty, filled);
         assert_ne!(filled, Csr::empty(5));

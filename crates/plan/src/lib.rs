@@ -409,13 +409,12 @@ impl AutoColorer {
     }
 
     /// The plan this colorer would run for `g` under `opts` — what the
-    /// serve front end echoes back to clients.
+    /// serve front end echoes back to clients. Reads the graph's
+    /// memoized [`Csr::profile`], so only the first plan against a
+    /// graph pays the O(n) profile pass.
     pub fn plan_for(&self, g: &Csr, opts: &ColorOptions) -> Plan {
-        self.planner.plan(
-            &GraphProfile::extract(g),
-            self.slo,
-            &Resources::from_options(opts),
-        )
+        self.planner
+            .plan(&g.profile(), self.slo, &Resources::from_options(opts))
     }
 }
 

@@ -403,7 +403,20 @@ pub fn ok_response(
     plan: Option<(Slo, &Plan)>,
 ) -> String {
     let header = ok_header(id, r, plan);
-    with_assignment(&header, assignment.then_some(r.coloring.colors.as_slice()))
+    let colors = assignment.then_some(r.coloring.colors.as_slice());
+    with_assignment(&header, colors.map(Body::Colors))
+}
+
+/// [`ok_response`] with `"assignment":true`, splicing in `kept`, the
+/// body [`assignment_body`] rendered for this response's coloring
+/// earlier, instead of rendering it again.
+pub(crate) fn ok_response_kept(
+    id: Option<u64>,
+    r: &JobResponse,
+    kept: &[u8],
+    plan: Option<(Slo, &Plan)>,
+) -> String {
+    with_assignment(&ok_header(id, r, plan), Some(Body::Rendered(kept)))
 }
 
 /// Every field of [`ok_response`] except the assignment.
@@ -428,31 +441,67 @@ fn ok_header(id: Option<u64>, r: &JobResponse, plan: Option<(Slo, &Plan)>) -> Js
     o
 }
 
-/// Renders the `header` object, with `"assignment":[…]` added when
-/// `colors` is given. The array is written straight into the output
+/// The body of an `"assignment"` array: the colors to render, or bytes
+/// [`assignment_body`] rendered from them earlier.
+enum Body<'a> {
+    Colors(&'a [u32]),
+    Rendered(&'a [u8]),
+}
+
+/// Renders the `header` object, with `"assignment":[…]` added when a
+/// `body` is given. The array is written straight into the output
 /// instead of going through a [`Json::Arr`]: it is the one payload that
 /// grows with the graph (half a million entries at scale 19). The bytes
 /// are those of the tree rendering — the codec orders keys, and
 /// `"assignment"` sorts before every header key, so it goes first.
-fn with_assignment(header: &Json, colors: Option<&[u32]>) -> String {
+/// The capacity leaves room for the line's `\n`.
+fn with_assignment(header: &Json, body: Option<Body<'_>>) -> String {
     let header = header.to_string();
-    let Some(colors) = colors else {
+    let Some(body) = body else {
         return header;
     };
     debug_assert!(header.starts_with('{') && &header[1..] > "\"assignment\"");
-    let widest = colors.iter().max().map_or(1, |c| c.to_string().len());
+    let body_len = match body {
+        Body::Colors(colors) => body_capacity(colors),
+        Body::Rendered(bytes) => bytes.len(),
+    };
     // `{"assignment":[` and `],` stand in for the header's `{`.
-    let mut out = Vec::with_capacity(header.len() + 16 + colors.len() * (widest + 1));
+    let mut out = Vec::with_capacity(header.len() + 17 + body_len);
     out.extend_from_slice(b"{\"assignment\":[");
-    for (i, &c) in colors.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        push_decimal(&mut out, c);
+    match body {
+        Body::Colors(colors) => push_body(&mut out, colors),
+        Body::Rendered(bytes) => out.extend_from_slice(bytes),
     }
     out.extend_from_slice(b"],");
     out.extend_from_slice(&header.as_bytes()[1..]);
     String::from_utf8(out).expect("ASCII digits spliced into a UTF-8 header")
+}
+
+/// The bytes between the `[` and `]` of a response's `"assignment"`
+/// array: what a cache entry keeps so later hits splice it in instead
+/// of rendering it again.
+pub(crate) fn assignment_body(colors: &[u32]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(body_capacity(colors));
+    push_body(&mut out, colors);
+    out
+}
+
+/// An upper bound on the rendered body's length: one comma per color
+/// plus the digits of the widest.
+fn body_capacity(colors: &[u32]) -> usize {
+    let widest = colors.iter().max().map_or(1, |c| c.to_string().len());
+    colors.len() * (widest + 1)
+}
+
+/// Appends the colors as comma-separated decimals: the one encoder of an
+/// assignment body.
+fn push_body(out: &mut Vec<u8>, colors: &[u32]) {
+    for (i, &c) in colors.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        push_decimal(out, c);
+    }
 }
 
 /// Appends `x` in plain decimal.
@@ -501,7 +550,8 @@ pub fn recolor_response(
     assignment: bool,
 ) -> String {
     let header = recolor_header(id, source, repaired, fingerprint, coloring);
-    with_assignment(&header, assignment.then_some(coloring.colors.as_slice()))
+    let colors = assignment.then_some(coloring.colors.as_slice());
+    with_assignment(&header, colors.map(Body::Colors))
 }
 
 /// Every field of [`recolor_response`] except the assignment.
@@ -994,6 +1044,11 @@ mod tests {
             let line = ok_response(id, &r, assignment, plan);
             let oracle = tree_rendering(ok_header(id, &r, plan), assignment.then_some(&colors[..]));
             assert_streamed(&line, oracle, &colors, assignment);
+            if assignment {
+                // A cache entry's kept body splices in byte-identically.
+                let kept = ok_response_kept(id, &r, &assignment_body(&colors), plan);
+                proptest::prop_assert_eq!(kept, line);
+            }
         }
 
         #[test]

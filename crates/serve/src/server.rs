@@ -4,9 +4,15 @@
 //! Requests pipeline: each accepted job gets a responder thread that
 //! waits on its [`crate::JobHandle`] and writes the response line when
 //! the job resolves, so a fast cache hit overtakes a slow cold run that
-//! was submitted earlier. Clients correlate by `id`. Responses are
-//! whole lines written under a mutex, so concurrent resolutions never
-//! interleave bytes.
+//! was submitted earlier. Clients correlate by `id`. Each response line
+//! reaches the writer in one `write_all` call, its `\n` included, under
+//! a mutex, so concurrent resolutions never interleave bytes and a
+//! socket never sends the terminator as a segment of its own.
+//!
+//! A cache hit or a coalesced response that asks for its assignment
+//! splices in the body its cache entry keeps
+//! ([`crate::JobHandle::kept_assignment`]), rendering it only the first
+//! time; a cold response renders its own and keeps nothing.
 //!
 //! ## The incremental session
 //!
@@ -48,6 +54,14 @@ struct Session {
 struct Upload {
     format: Option<GraphFormat>,
     data: String,
+}
+
+/// Writes `line` and its `\n` in one `write_all` call, then flushes.
+fn write_line<W: Write>(writer: &Mutex<W>, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    let mut w = writer.lock().unwrap();
+    w.write_all(line.as_bytes())?;
+    w.flush()
 }
 
 /// Resolves a request's graph reference against the memoized named-graph
@@ -119,13 +133,6 @@ where
     let mut graphs: HashMap<(String, u32, u64), Arc<Csr>> = HashMap::new();
     let mut session: Option<Session> = None;
     let mut upload: Option<Upload> = None;
-    let write_line = |w: &Arc<Mutex<W>>, line: String| -> std::io::Result<()> {
-        let mut w = w.lock().unwrap();
-        w.write_all(line.as_bytes())?;
-        w.write_all(b"\n")?;
-        w.flush()
-    };
-
     loop {
         // Reading bytes rather than `lines()` keeps a line that is not
         // UTF-8 a bad request instead of an I/O error that would end the
@@ -455,23 +462,22 @@ where
                         }
                         let writer = Arc::clone(writer);
                         responders.push(thread::spawn(move || {
+                            let plan = plan.as_ref().map(|(slo, p)| (*slo, p));
                             let line = match handle.wait() {
-                                Ok(r) => proto::ok_response(
-                                    id,
-                                    &r,
-                                    assignment,
-                                    plan.as_ref().map(|(slo, p)| (*slo, p)),
-                                ),
+                                Ok(r) => match assignment
+                                    .then(|| handle.kept_assignment(proto::assignment_body))
+                                    .flatten()
+                                {
+                                    Some(kept) => proto::ok_response_kept(id, &r, &kept, plan),
+                                    None => proto::ok_response(id, &r, assignment, plan),
+                                },
                                 Err(e) => proto::error_response(
                                     id,
                                     proto::serve_error_code(&e),
                                     &e.to_string(),
                                 ),
                             };
-                            let mut w = writer.lock().unwrap();
-                            let _ = w.write_all(line.as_bytes());
-                            let _ = w.write_all(b"\n");
-                            let _ = w.flush();
+                            let _ = write_line(&writer, line);
                         }));
                     }
                 }

@@ -31,7 +31,7 @@
 //!   holds distinct fingerprints only, so a duplicate never consumes a
 //!   second queue slot.
 
-use crate::cache::ResultCache;
+use crate::cache::{CachedResult, ResultCache};
 use crate::sync::{thread, Arc, Condvar, Mutex};
 use gcol_core::{ColorError, Coloring, Fingerprint, JobSpec};
 use gcol_graph::Csr;
@@ -225,15 +225,33 @@ impl JobHandle {
     /// Blocks until the job resolves.
     pub fn wait(&self) -> Result<JobResponse, ServeError> {
         let mut done = self.cell.done.lock().unwrap();
-        while done.is_none() {
+        loop {
+            if let Some(d) = done.as_ref() {
+                return d.result.clone();
+            }
             done = self.cell.cv.wait(done).unwrap();
         }
-        done.clone().unwrap()
     }
 
     /// The result if the job already resolved, without blocking.
     pub fn try_wait(&self) -> Option<Result<JobResponse, ServeError>> {
-        self.cell.done.lock().unwrap().clone()
+        self.cell
+            .done
+            .lock()
+            .unwrap()
+            .as_ref()
+            .map(|d| d.result.clone())
+    }
+
+    /// The rendered `assignment` body of a job that resolved from a
+    /// cache entry — a cache hit or a coalesced attach: the bytes that
+    /// entry keeps, rendered by `render` from the entry's own coloring on
+    /// first use ([`CachedResult::assignment`]). `None` for a cold run,
+    /// whose caller renders the assignment directly and keeps nothing,
+    /// and for a job that has not resolved with a coloring.
+    pub fn kept_assignment(&self, render: impl FnOnce(&[u32]) -> Vec<u8>) -> Option<Arc<[u8]>> {
+        let entry = self.cell.done.lock().unwrap().as_ref()?.entry.clone()?;
+        Some(entry.assignment(render))
     }
 
     /// This job's fingerprint.
@@ -247,15 +265,29 @@ struct JobCell {
     fingerprint: Fingerprint,
     submitted: Instant,
     deadline: Option<Instant>,
-    done: Mutex<Option<Result<JobResponse, ServeError>>>,
+    done: Mutex<Option<Resolved>>,
     cv: Condvar,
 }
 
+/// How a job resolved, and the cache entry its coloring came from when
+/// it was not a cold run.
+#[derive(Debug)]
+struct Resolved {
+    result: Result<JobResponse, ServeError>,
+    entry: Option<Arc<CachedResult>>,
+}
+
 impl JobCell {
-    fn resolve(&self, r: Result<JobResponse, ServeError>) {
+    fn resolve(&self, result: Result<JobResponse, ServeError>, entry: Option<Arc<CachedResult>>) {
+        if let (Ok(r), Some(e)) = (&result, &entry) {
+            debug_assert!(
+                Arc::ptr_eq(&r.coloring, e.coloring()),
+                "a response shares its entry's own coloring"
+            );
+        }
         let mut done = self.done.lock().unwrap();
         debug_assert!(done.is_none(), "job resolved twice");
-        *done = Some(r);
+        *done = Some(Resolved { result, entry });
         self.cv.notify_all();
     }
 }
@@ -409,14 +441,15 @@ impl Service {
             let total_ms = now.elapsed().as_secs_f64() * 1e3;
             st.latencies_push(total_ms);
             drop(st);
-            cell.resolve(Ok(JobResponse {
-                coloring: hit,
+            let response = JobResponse {
+                coloring: Arc::clone(hit.coloring()),
                 source: ResultSource::CacheHit,
                 fingerprint: fp,
                 queue_ms: 0.0,
                 exec_ms: 0.0,
                 total_ms,
-            }));
+            };
+            cell.resolve(Ok(response), Some(hit));
             return Ok(JobHandle { cell });
         }
         if let Some(exec) = st.inflight.get_mut(&fp.0) {
@@ -546,6 +579,7 @@ impl Service {
             completed_err: c.completed_err,
             deadline_exceeded: c.deadline_exceeded,
             cache_entries: st.cache.len(),
+            cache_assignment_bytes: st.cache.assignment_bytes(),
             cache_evictions,
             queued: st.queue.len(),
             avg_queue_wait_ms: if c.executions == 0 {
@@ -628,7 +662,7 @@ fn process_one(inner: &Inner) -> bool {
             st.inflight.remove(&fp.0);
             drop(st);
             for w in expired {
-                w.cell.resolve(Err(ServeError::DeadlineExceeded));
+                w.cell.resolve(Err(ServeError::DeadlineExceeded), None);
             }
             return true;
         }
@@ -637,28 +671,28 @@ fn process_one(inner: &Inner) -> bool {
         let spec = exec.spec.clone();
         drop(st);
         for w in expired {
-            w.cell.resolve(Err(ServeError::DeadlineExceeded));
+            w.cell.resolve(Err(ServeError::DeadlineExceeded), None);
         }
         (fp, graph, spec, first_wait_ms)
     };
 
+    // The result moves into its `Arc` here, outside the lock below.
     let result = spec
         .scheme
-        .try_color(&graph, &inner.config.device, &spec.opts);
+        .try_color(&graph, &inner.config.device, &spec.opts)
+        .map(Arc::new);
     let exec_ms = started.elapsed().as_secs_f64() * 1e3;
 
-    let waiters = {
+    let (waiters, entry) = {
         let mut st = inner.state.lock().unwrap();
         let exec = st.inflight.remove(&fp.0).expect("running fp has execution");
         st.counters.executions += 1;
         st.counters.queue_wait_ms_sum += queue_wait_ms;
         st.counters.exec_ms_sum += exec_ms;
-        let shared = match &result {
+        let entry = match &result {
             Ok(coloring) => {
-                let shared = Arc::new(coloring.clone());
                 st.counters.completed_ok += 1;
-                st.cache.insert(fp, Arc::clone(&shared));
-                Some(shared)
+                Some(st.cache.insert(fp, Arc::clone(coloring)))
             }
             Err(_) => {
                 // Failed runs are not cached: a later identical request
@@ -676,37 +710,34 @@ fn process_one(inner: &Inner) -> bool {
                 st.counters.deadline_exceeded += 1;
             }
             let total_ms = (now - w.cell.submitted).as_secs_f64() * 1e3;
-            if !deadline_hit && shared.is_some() {
+            if !deadline_hit && result.is_ok() {
                 st.latencies_push(total_ms);
             }
             resolved.push((w, deadline_hit, total_ms));
         }
         drop(st);
-        resolved
-            .into_iter()
-            .map(|(w, deadline_hit, total_ms)| {
-                let r = if deadline_hit {
-                    Err(ServeError::DeadlineExceeded)
-                } else {
-                    match (&shared, &result) {
-                        (Some(coloring), _) => Ok(JobResponse {
-                            coloring: Arc::clone(coloring),
-                            source: w.source,
-                            fingerprint: fp,
-                            queue_ms: queue_wait_ms,
-                            exec_ms,
-                            total_ms,
-                        }),
-                        (None, Err(e)) => Err(ServeError::Coloring(e.clone())),
-                        (None, Ok(_)) => unreachable!("shared is Some on Ok"),
-                    }
-                };
-                (w, r)
-            })
-            .collect::<Vec<_>>()
+        (resolved, entry)
     };
-    for (w, r) in waiters {
-        w.cell.resolve(r);
+    for (w, deadline_hit, total_ms) in waiters {
+        let r = match &result {
+            _ if deadline_hit => Err(ServeError::DeadlineExceeded),
+            Ok(coloring) => Ok(JobResponse {
+                coloring: Arc::clone(coloring),
+                source: w.source,
+                fingerprint: fp,
+                queue_ms: queue_wait_ms,
+                exec_ms,
+                total_ms,
+            }),
+            Err(e) => Err(ServeError::Coloring(e.clone())),
+        };
+        // A coalesced waiter shares the new entry's kept assignment; the
+        // cold one renders its own and keeps nothing.
+        let entry = match (&r, w.source) {
+            (Ok(_), ResultSource::Coalesced) => entry.clone(),
+            _ => None,
+        };
+        w.cell.resolve(r, entry);
     }
     true
 }
@@ -742,6 +773,9 @@ pub struct ServiceStats {
     pub deadline_exceeded: u64,
     /// Results currently cached.
     pub cache_entries: usize,
+    /// Bytes of rendered assignment the cached results keep (only hit or
+    /// coalesced results that were asked for their assignment hold any).
+    pub cache_assignment_bytes: usize,
     /// Lifetime cache evictions.
     pub cache_evictions: u64,
     /// Executions waiting in the queue at snapshot time.
@@ -782,11 +816,12 @@ impl std::fmt::Display for ServiceStats {
         )?;
         writeln!(
             f,
-            "executions: {} ok, {} failed, {} skipped; cache: {} entries, {} evictions",
+            "executions: {} ok, {} failed, {} skipped; cache: {} entries ({} assignment bytes), {} evictions",
             self.completed_ok,
             self.completed_err,
             self.skipped_executions,
             self.cache_entries,
+            self.cache_assignment_bytes,
             self.cache_evictions
         )?;
         write!(

@@ -13,11 +13,11 @@
 //! proof that these schedules stay explored.
 #![cfg(loom)]
 
-use gcol_core::{JobSpec, Scheme};
+use gcol_core::{Coloring, Fingerprint, JobSpec, RunProfile, Scheme};
 use gcol_graph::gen::{self, RmatParams};
 use gcol_graph::Csr;
 use gcol_serve::sync::{thread, Condvar, Mutex};
-use gcol_serve::{JobRequest, Rejection, ResultSource, Service, ServiceConfig};
+use gcol_serve::{JobRequest, Rejection, ResultCache, ResultSource, Service, ServiceConfig};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -184,6 +184,61 @@ fn drain_vs_submit_is_accept_or_typed_reject() {
             }
             Err(other) => panic!("unexpected rejection: {other:?}"),
         }
+    });
+}
+
+/// Kept assignment bytes vs eviction and reinsertion: a hit takes its
+/// entry under the cache lock and renders the entry's assignment
+/// outside it, while another thread reinserts that fingerprint with a
+/// different coloring, evicts it, and reinserts it again, rendering
+/// each new entry. Entries of one fingerprint cannot be told apart by
+/// key, so on every schedule each render must yield the bytes of the
+/// coloring its own entry holds — never another entry's — and the entry
+/// left in the cache keeps only the last coloring's bytes.
+#[test]
+fn kept_assignment_fill_races_eviction_and_reinsertion() {
+    fn coloring(colors: Vec<u32>) -> Arc<Coloring> {
+        Arc::new(Coloring {
+            scheme: Scheme::Sequential,
+            num_colors: colors.len(),
+            colors,
+            iterations: 1,
+            profile: RunProfile::new(),
+        })
+    }
+    // The protocol's body encoding, spelled out so the test does not
+    // reach into the crate.
+    fn render(colors: &[u32]) -> Vec<u8> {
+        let text: Vec<String> = colors.iter().map(u32::to_string).collect();
+        text.join(",").into_bytes()
+    }
+    let (key, other) = (Fingerprint(1), Fingerprint(2));
+    loom::model(move || {
+        let cache = Arc::new(Mutex::new(ResultCache::new(1)));
+        cache.lock().unwrap().insert(key, coloring(vec![1, 2]));
+        let c = Arc::clone(&cache);
+        let hit = thread::spawn(move || {
+            let entry = c.lock().unwrap().get(key);
+            entry.map(|e| (Arc::clone(e.coloring()), e.assignment(render)))
+        });
+        let reinsert_and_render = |colors: Vec<u32>| {
+            let fresh = coloring(colors);
+            cache.lock().unwrap().insert(key, Arc::clone(&fresh));
+            let entry = cache.lock().unwrap().get(key).expect("just inserted");
+            assert!(Arc::ptr_eq(entry.coloring(), &fresh));
+            assert_eq!(*entry.assignment(render), render(&fresh.colors)[..]);
+        };
+        // Reinsertion over the live entry, then eviction and reinsertion.
+        reinsert_and_render(vec![3, 4, 5]);
+        cache.lock().unwrap().insert(other, coloring(vec![9]));
+        reinsert_and_render(vec![6, 7]);
+        // The hit saw one of the three entries or, between eviction and
+        // reinsertion, none; whichever it got, its bytes are that
+        // entry's coloring's.
+        if let Some((seen, bytes)) = hit.join().unwrap() {
+            assert_eq!(*bytes, render(&seen.colors)[..]);
+        }
+        assert_eq!(cache.lock().unwrap().assignment_bytes(), b"6,7".len());
     });
 }
 

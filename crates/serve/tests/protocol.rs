@@ -3,8 +3,10 @@
 //! (responses to accepted jobs may arrive in any order).
 
 use gcol_graph::gen::{self, RmatParams};
+use gcol_graph::Csr;
 use gcol_serve::json::{self, Json};
-use gcol_serve::{serve_lines, Service, ServiceConfig};
+use gcol_serve::proto::Request;
+use gcol_serve::{serve_lines, JobRequest, ResultSource, Service, ServiceConfig};
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::sync::{Arc, Mutex};
@@ -37,20 +39,36 @@ fn run_session_with(
     config: ServiceConfig,
     input: &(impl AsRef<[u8]> + ?Sized),
 ) -> (Vec<Json>, gcol_serve::ServiceStats) {
+    let (lines, stats) = run_session_raw(config, input);
+    let lines = lines
+        .iter()
+        .map(|l| json::parse(l).expect("every response line is valid JSON"))
+        .collect();
+    (lines, stats)
+}
+
+/// [`run_session_with`] returning the response lines as written.
+fn run_session_raw(
+    config: ServiceConfig,
+    input: &(impl AsRef<[u8]> + ?Sized),
+) -> (Vec<String>, gcol_serve::ServiceStats) {
     let svc = Service::start(config);
     let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
-    let resolve = |name: &str, scale: u32, seed: u64| match name {
-        "rmat" => Ok(Arc::new(gen::rmat(RmatParams::erdos_renyi(scale, 8), seed))),
-        other => Err(format!("unknown graph generator '{other}'")),
-    };
-    let stats = serve_lines(svc, input.as_ref(), buf.clone(), &resolve).unwrap();
+    let stats = serve_lines(svc, input.as_ref(), buf.clone(), &resolve_rmat).unwrap();
     let bytes = buf.0.lock().unwrap().clone();
     let lines = String::from_utf8(bytes)
         .unwrap()
         .lines()
-        .map(|l| json::parse(l).expect("every response line is valid JSON"))
+        .map(str::to_owned)
         .collect();
     (lines, stats)
+}
+
+fn resolve_rmat(name: &str, scale: u32, seed: u64) -> Result<Arc<Csr>, String> {
+    match name {
+        "rmat" => Ok(Arc::new(gen::rmat(RmatParams::erdos_renyi(scale, 8), seed))),
+        other => Err(format!("unknown graph generator '{other}'")),
+    }
 }
 
 fn by_id(lines: &[Json]) -> HashMap<u64, &Json> {
@@ -870,4 +888,181 @@ fn auto_is_bit_identical_to_its_resolved_explicit_request() {
         "the auto twin of an explicit job shares its execution"
     );
     assert_eq!(stats.executions, 1, "one cold run served both requests");
+}
+
+/// The bytes between the `[` and `]` of a line's `assignment`.
+fn assignment_of(line: &str) -> &str {
+    let body = line
+        .strip_prefix(r#"{"assignment":["#)
+        .unwrap_or_else(|| panic!("no leading assignment in {line}"));
+    &body[..body.find(']').unwrap()]
+}
+
+fn source_of(line: &str) -> String {
+    let v = json::parse(line).unwrap();
+    v.get("source").and_then(Json::as_str).unwrap().to_owned()
+}
+
+fn color_request(id: u64, seed: u64) -> String {
+    format!(
+        r#"{{"id":{id},"op":"color","graph":{{"gen":"rmat","scale":9,"seed":3}},"scheme":"T-base","backend":"native","seed":{seed},"assignment":true}}"#
+    )
+}
+
+/// The job `color_request` submits, for driving the service directly.
+fn color_job(seed: u64) -> JobRequest {
+    let Ok(Request::Color { spec, .. }) = Request::parse(&color_request(0, seed)) else {
+        unreachable!("a color request")
+    };
+    let graph = resolve_rmat("rmat", 9, 3).unwrap();
+    JobRequest::new(graph, spec.fixed().expect("T-base is a fixed scheme"))
+}
+
+/// The assignment body as plain decimals, independent of the codec.
+fn decimals(colors: &[u32]) -> Vec<u8> {
+    let text: Vec<String> = colors.iter().map(u32::to_string).collect();
+    text.join(",").into_bytes()
+}
+
+/// A cache hit and a coalesced response splice in the bytes the cache
+/// entry keeps; those must equal the cold line's assignment byte for
+/// byte, on the first hit that renders them and on every later one.
+#[test]
+fn hit_and_coalesced_assignments_match_the_cold_line() {
+    // No workers: the job runs at the drain, so every duplicate read
+    // before it coalesces onto the first request.
+    let input: String = (1..=4).map(|id| color_request(id, 0) + "\n").collect();
+    let (lines, stats) = run_session_raw(
+        ServiceConfig {
+            num_workers: 0,
+            ..ServiceConfig::default()
+        },
+        &input,
+    );
+    assert_eq!((stats.executions, stats.coalesced), (1, 3));
+    let cold: Vec<&String> = lines.iter().filter(|l| source_of(l) == "cold").collect();
+    assert_eq!(cold.len(), 1);
+    let cold = assignment_of(cold[0]);
+    assert!(cold.len() > 512, "a scale-9 assignment: {cold}");
+    for line in &lines {
+        assert_eq!(assignment_of(line), cold, "{}", source_of(line));
+    }
+
+    // A service that already ran the job serves every request as a hit.
+    let service = Service::start(ServiceConfig::default());
+    service.submit(color_job(0)).unwrap().wait().unwrap();
+    let input: String = (11..=14).map(|id| color_request(id, 0) + "\n").collect();
+    let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
+    let stats = serve_lines(service, input.as_bytes(), buf.clone(), &resolve_rmat).unwrap();
+    let out = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+    assert_eq!(out.lines().count(), 4);
+    for hit in out.lines() {
+        assert_eq!(source_of(hit), "cache-hit");
+        assert_eq!(assignment_of(hit), cold);
+    }
+    assert_eq!((stats.executions, stats.cache_hits), (1, 4));
+    // One entry keeps one body: the one the first hit rendered.
+    assert_eq!(stats.cache_assignment_bytes, cold.len());
+}
+
+/// With room for one entry, evicting it drops its kept bytes, and the
+/// re-run that reinserts its fingerprint starts a fresh entry: the next
+/// hit carries the bytes of the re-run's coloring.
+#[test]
+fn an_evicted_entry_takes_its_kept_assignment_with_it() {
+    let svc = Service::start(ServiceConfig {
+        cache_capacity: 1,
+        ..ServiceConfig::default()
+    });
+    let run = |seed| svc.submit(color_job(seed)).unwrap();
+    let first = run(0).wait().unwrap();
+    let hit = run(0);
+    assert_eq!(hit.wait().unwrap().source, ResultSource::CacheHit);
+    assert_eq!(
+        *hit.kept_assignment(decimals).unwrap(),
+        decimals(&first.coloring.colors)[..]
+    );
+    assert!(svc.stats().cache_assignment_bytes > 0);
+
+    // Another job evicts the entry, and its bytes go with it.
+    assert_eq!(run(1).wait().unwrap().source, ResultSource::Cold);
+    assert_eq!(svc.stats().cache_assignment_bytes, 0);
+    let rerun = run(0);
+    let again = rerun.wait().unwrap();
+    assert_eq!(again.source, ResultSource::Cold);
+    assert!(
+        rerun.kept_assignment(decimals).is_none(),
+        "cold keeps nothing"
+    );
+    assert_eq!(svc.stats().cache_assignment_bytes, 0);
+
+    let hit = run(0);
+    let r = hit.wait().unwrap();
+    assert_eq!(r.source, ResultSource::CacheHit);
+    assert!(
+        Arc::ptr_eq(&r.coloring, &again.coloring),
+        "the re-run's entry"
+    );
+    let kept = hit.kept_assignment(decimals).unwrap();
+    assert_eq!(*kept, decimals(&again.coloring.colors)[..]);
+    let stats = svc.shutdown();
+    assert_eq!((stats.executions, stats.cache_evictions), (3, 2));
+    assert_eq!(stats.cache_assignment_bytes, kept.len());
+}
+
+/// A `Write` that records every `write` call separately.
+#[derive(Clone)]
+struct WriteCalls(Arc<Mutex<Vec<Vec<u8>>>>);
+
+impl Write for WriteCalls {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().push(buf.to_vec());
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Every response line, whichever path writes it, reaches the writer in
+/// exactly one `write` call that ends in its `\n`: a lone `\n` write
+/// would go out as a segment of its own on a socket.
+#[test]
+fn each_response_line_is_one_write_call() {
+    let input = format!(
+        "{}\n{}\n{}\n",
+        [
+            format!(r#"{{"id":1,"op":"load","format":"dimacs","data":"{FIG2_COL}"}}"#),
+            r#"{"id":2,"op":"color","graph":"session","scheme":"T-base","backend":"native","assignment":true}"#.into(),
+            r#"{"id":3,"op":"color","graph":"session","scheme":"T-base","backend":"native","assignment":true}"#.into(),
+            r#"{"id":4,"op":"color","graph":{"gen":"rmat","scale":6,"seed":1},"backend":"native"}"#.into(),
+        ]
+        .join("\n"),
+        [
+            r#"{"id":5,"op":"stats"}"#,
+            r#"{"id":6,"op":"bogus"}"#,
+            r#"{"id":7,"op":"mutate","graph":"session","edits":[["+",0,3]]}"#,
+            r#"{"id":8,"op":"recolor","scheme":"T-base","backend":"native","assignment":true}"#,
+            r#"{"id":9,"op":"color","graph":{"gen":"nope","scale":6,"seed":1}}"#,
+        ]
+        .join("\n"),
+        r#"{"id":10,"op":"shutdown"}"#,
+    );
+    let calls = WriteCalls(Arc::new(Mutex::new(Vec::new())));
+    serve_lines(
+        Service::start(ServiceConfig::default()),
+        input.as_bytes(),
+        calls.clone(),
+        &resolve_rmat,
+    )
+    .unwrap();
+    let calls = calls.0.lock().unwrap();
+    assert_eq!(calls.len(), 10, "one write per response line");
+    for call in calls.iter() {
+        let text = String::from_utf8_lossy(call);
+        assert!(call.ends_with(b"\n"), "write without its newline: {text}");
+        let newlines = call.iter().filter(|&&b| b == b'\n').count();
+        assert_eq!(newlines, 1, "one line per write: {text}");
+        json::parse(text.trim_end()).expect("each write is one JSON line");
+    }
 }

@@ -58,10 +58,10 @@ pub fn run(cfg: &ExpConfig, schemes: &[Scheme], repeat: usize) -> String {
     let t0 = std::time::Instant::now();
     let g = gen::rmat(RmatParams::erdos_renyi(scale, 20), 0xE5);
     eprintln!(
-        "graph: rmat-er scale {scale} ({} vertices, {} edges) built in {:.1}s",
+        "graph: rmat-er scale {scale} ({} vertices, {} edges) built in {:.1}ms",
         g.num_vertices(),
         g.num_edges(),
-        t0.elapsed().as_secs_f64()
+        t0.elapsed().as_secs_f64() * 1e3
     );
 
     let dev = Device::k20c();

@@ -3,11 +3,10 @@
 //! The builder accepts arbitrary (possibly duplicated, possibly one-sided)
 //! edges and produces a clean [`Csr`]: optionally symmetrized, self-loops
 //! dropped, adjacency lists sorted and deduplicated. Construction is the
-//! standard two-pass counting sort, parallelized over vertices for the
-//! sort/dedup pass.
+//! standard two-pass counting sort followed by one sequential pass that
+//! sorts, deduplicates and compacts every row in place.
 
 use crate::csr::{Csr, VertexId};
-use rayon::prelude::*;
 
 /// Builds a [`Csr`] from a stream of edges.
 ///
@@ -101,68 +100,79 @@ impl CsrBuilder {
     }
 
     /// Consumes the builder and produces the CSR graph.
+    ///
+    /// The raw edge list is freed as soon as it has been scattered into
+    /// rows. Each row is then sorted and deduplicated in place, and the
+    /// rows are compacted to the left inside the scatter array, which
+    /// becomes `C`, trimmed to its length whenever that frees at least a
+    /// page. The allocation count is constant in the graph size.
     pub fn build(&mut self) -> Csr {
         let n = self.num_vertices;
-        let mut counts = vec![0u32; n + 1];
-        let count_edge = |counts: &mut [u32], u: VertexId, v: VertexId| {
-            if u != v || self.keep_self_loops {
-                counts[u as usize + 1] += 1;
-            }
-        };
-        for &(u, v) in &self.edges {
+        let edges = std::mem::take(&mut self.edges);
+        let keeps = |u: VertexId, v: VertexId| u != v || self.keep_self_loops;
+
+        // Count each row's length into `offsets[u]`, then prefix-sum so
+        // `offsets[u]` is the end of row `u`; scattering backwards from
+        // there leaves it at the row's start.
+        let mut offsets = vec![0u32; n + 1];
+        for &(u, v) in &edges {
             assert!(
                 (u as usize) < n && (v as usize) < n,
                 "edge ({u}, {v}) out of range for {n} vertices"
             );
-            count_edge(&mut counts, u, v);
-            if self.symmetrize {
-                count_edge(&mut counts, v, u);
+            if keeps(u, v) {
+                offsets[u as usize] += 1;
+                if self.symmetrize {
+                    offsets[v as usize] += 1;
+                }
             }
         }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts.clone();
-        let mut cols = vec![0 as VertexId; offsets[n] as usize];
-        let mut cursor = counts;
-        let place = |cursor: &mut [u32], cols: &mut [VertexId], u: VertexId, v: VertexId| {
-            if u != v || self.keep_self_loops {
-                cols[cursor[u as usize] as usize] = v;
-                cursor[u as usize] += 1;
-            }
-        };
-        for i in 0..self.edges.len() {
-            let (u, v) = self.edges[i];
-            place(&mut cursor, &mut cols, u, v);
-            if self.symmetrize {
-                place(&mut cursor, &mut cols, v, u);
-            }
-        }
-
-        // Sort + dedup each adjacency list in parallel, then repack.
-        let lists: Vec<Vec<VertexId>> = (0..n)
-            .into_par_iter()
-            .map(|v| {
-                let lo = offsets[v] as usize;
-                let hi = offsets[v + 1] as usize;
-                let mut list = cols[lo..hi].to_vec();
-                list.sort_unstable();
-                list.dedup();
-                list
-            })
-            .collect();
-        let mut row_offsets = Vec::with_capacity(n + 1);
-        row_offsets.push(0u32);
         let mut total = 0u32;
-        for list in &lists {
-            total += list.len() as u32;
-            row_offsets.push(total);
+        for o in &mut offsets {
+            total = total.checked_add(*o).expect("edge count must fit in u32");
+            *o = total;
         }
-        let mut col_indices = Vec::with_capacity(total as usize);
-        for list in lists {
-            col_indices.extend_from_slice(&list);
+        let mut cols = vec![0 as VertexId; total as usize];
+        let mut place = |u: VertexId, v: VertexId| {
+            offsets[u as usize] -= 1;
+            cols[offsets[u as usize] as usize] = v;
+        };
+        for &(u, v) in &edges {
+            if keeps(u, v) {
+                place(u, v);
+                if self.symmetrize {
+                    place(v, u);
+                }
+            }
         }
-        Csr::new(row_offsets, col_indices)
+        drop(edges);
+
+        // Sort and dedup each row where it lies, moving it left to
+        // `write`; `offsets[v + 1]` is read as the old end of row `v`
+        // before it is overwritten with the compacted one.
+        let mut write = 0usize;
+        let mut start = 0usize;
+        for v in 0..n {
+            let end = offsets[v + 1] as usize;
+            cols[start..end].sort_unstable();
+            let row_start = write;
+            for i in start..end {
+                let w = cols[i];
+                if write == row_start || cols[write - 1] != w {
+                    cols[write] = w;
+                    write += 1;
+                }
+            }
+            offsets[v + 1] = write as u32;
+            start = end;
+        }
+        cols.truncate(write);
+        // Trimming gives memory back only in whole pages; a smaller trim
+        // just splits the allocation and leaves a fragment in the heap.
+        if (cols.capacity() - write) * std::mem::size_of::<VertexId>() >= 4096 {
+            cols.shrink_to_fit();
+        }
+        Csr::new(offsets, cols)
     }
 }
 

@@ -10,7 +10,6 @@
 use crate::builder::CsrBuilder;
 use crate::csr::{Csr, VertexId};
 use crate::rng::Xoshiro256;
-use rayon::prelude::*;
 
 /// Parameters of the R-MAT generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,22 +72,23 @@ impl RmatParams {
 }
 
 /// Samples one R-MAT edge.
+///
+/// Every level draws one `r` and makes all three quadrant comparisons;
+/// the `u`/`v` bits are set from their outcomes rather than through an
+/// `if` chain, which mispredicts at almost every level when the
+/// quadrants are near-uniform. Quadrant order is top-left, top-right
+/// (`v` bit), bottom-left (`u` bit), bottom-right (both bits).
+#[inline]
 fn sample_edge(p: &RmatParams, rng: &mut Xoshiro256) -> (VertexId, VertexId) {
     let (mut a, mut b, mut c, mut d) = (p.a, p.b, p.c, p.d);
     let (mut u, mut v) = (0u32, 0u32);
     for level in (0..p.scale).rev() {
-        let bit = 1u32 << level;
         let r = rng.next_f64();
-        if r < a {
-            // top-left: neither bit set
-        } else if r < a + b {
-            v |= bit;
-        } else if r < a + b + c {
-            u |= bit;
-        } else {
-            u |= bit;
-            v |= bit;
-        }
+        let in_a = r < a;
+        let in_ab = r < a + b;
+        let in_abc = r < a + b + c;
+        u |= u32::from(!in_a & !in_ab) << level;
+        v |= u32::from(!in_a & (in_ab | !in_abc)) << level;
         if p.noise {
             // Multiplicative ±10% noise, renormalized (Chakrabarti et al.).
             let na = a * (0.9 + 0.2 * rng.next_f64());
@@ -105,9 +105,10 @@ fn sample_edge(p: &RmatParams, rng: &mut Xoshiro256) -> (VertexId, VertexId) {
     (u, v)
 }
 
-/// Generates a symmetric R-MAT graph. Edge sampling is parallelized over
-/// deterministic per-chunk RNG streams, so the output depends only on
-/// `(params, seed)` — never on thread scheduling.
+/// Generates a symmetric R-MAT graph. Edges are sampled sequentially,
+/// straight into the builder's edge buffer, from one deterministic RNG
+/// stream per chunk of 2^16 edges, so the output depends only on
+/// `(params, seed)` and not on the order the chunks are sampled in.
 ///
 /// ```
 /// use gcol_graph::gen::{rmat, RmatParams};
@@ -118,29 +119,123 @@ fn sample_edge(p: &RmatParams, rng: &mut Xoshiro256) -> (VertexId, VertexId) {
 /// ```
 pub fn rmat(params: RmatParams, seed: u64) -> Csr {
     params.validate();
-    let n = 1usize << params.scale;
     const CHUNK: usize = 1 << 16;
-    let num_chunks = params.edges.div_ceil(CHUNK);
     let mut root = Xoshiro256::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-    let chunk_seeds: Vec<u64> = (0..num_chunks).map(|_| root.next_u64()).collect();
-    let edges: Vec<(VertexId, VertexId)> = chunk_seeds
-        .par_iter()
-        .enumerate()
-        .flat_map_iter(|(i, &cs)| {
-            let lo = i * CHUNK;
-            let hi = ((i + 1) * CHUNK).min(params.edges);
-            let mut rng = Xoshiro256::seed_from_u64(cs);
-            (lo..hi).map(move |_| sample_edge(&params, &mut rng))
-        })
-        .collect();
-    let mut b = CsrBuilder::with_capacity(n, edges.len() * 2);
-    b.add_edges(edges);
+    let mut b = CsrBuilder::with_capacity(1usize << params.scale, params.edges);
+    for lo in (0..params.edges).step_by(CHUNK) {
+        let mut rng = Xoshiro256::seed_from_u64(root.next_u64());
+        let len = CHUNK.min(params.edges - lo);
+        b.add_edges((0..len).map(|_| sample_edge(&params, &mut rng)));
+    }
     b.symmetrize().build()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The sampler as it stood before the branch-free rewrite: the same
+    /// draws and comparisons, with the quadrant picked by an `if` chain.
+    /// Kept as the edge-for-edge reference for [`sample_edge`].
+    fn branchy_sample_edge(p: &RmatParams, rng: &mut Xoshiro256) -> (VertexId, VertexId) {
+        let (mut a, mut b, mut c, mut d) = (p.a, p.b, p.c, p.d);
+        let (mut u, mut v) = (0u32, 0u32);
+        for level in (0..p.scale).rev() {
+            let bit = 1u32 << level;
+            let r = rng.next_f64();
+            if r < a {
+                // top-left: neither bit set
+            } else if r < a + b {
+                v |= bit;
+            } else if r < a + b + c {
+                u |= bit;
+            } else {
+                u |= bit;
+                v |= bit;
+            }
+            if p.noise {
+                let na = a * (0.9 + 0.2 * rng.next_f64());
+                let nb = b * (0.9 + 0.2 * rng.next_f64());
+                let nc = c * (0.9 + 0.2 * rng.next_f64());
+                let nd = d * (0.9 + 0.2 * rng.next_f64());
+                let s = na + nb + nc + nd;
+                a = na / s;
+                b = nb / s;
+                c = nc / s;
+                d = nd / s;
+            }
+        }
+        (u, v)
+    }
+
+    /// Strategy: one unnormalized quadrant weight, exactly 0 or 1 in a
+    /// third of the cases each.
+    fn arb_weight() -> impl Strategy<Value = f64> {
+        (0u8..3, any::<u64>()).prop_map(|(k, x)| match k {
+            0 => 0.0,
+            1 => 1.0,
+            _ => (x >> 11) as f64 / (1u64 << 53) as f64,
+        })
+    }
+
+    /// Strategy: R-MAT parameters with random quadrant probabilities.
+    fn arb_params() -> impl Strategy<Value = RmatParams> {
+        let weights = (arb_weight(), arb_weight(), arb_weight(), arb_weight());
+        (1u32..=20, weights, any::<bool>()).prop_map(|(scale, (a, b, c, d), noise)| {
+            let sum = a + b + c + d;
+            let (a, b, c, d) = if sum == 0.0 {
+                (1.0, 0.0, 0.0, 0.0)
+            } else {
+                (a / sum, b / sum, c / sum, d / sum)
+            };
+            RmatParams {
+                scale,
+                edges: 0,
+                a,
+                b,
+                c,
+                d,
+                noise,
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn sampler_matches_the_branchy_oracle(p in arb_params(), seed in any::<u64>()) {
+            let mut fast = Xoshiro256::seed_from_u64(seed);
+            let mut slow = fast.clone();
+            for _ in 0..32 {
+                prop_assert_eq!(sample_edge(&p, &mut fast), branchy_sample_edge(&p, &mut slow));
+            }
+            // Both drew the same number of values.
+            prop_assert_eq!(fast.next_u64(), slow.next_u64());
+        }
+    }
+
+    #[test]
+    fn paper_configurations_are_pinned() {
+        // Recorded before the sampler and the builder were rewritten:
+        // generator output is part of every benchmark's input, so these
+        // must only change on purpose.
+        let pinned: [(RmatParams, u64, u64); 6] = [
+            (RmatParams::erdos_renyi(12, 16), 3, 0x2c9b_7c92_fdbe_6b58),
+            (RmatParams::erdos_renyi(12, 16), 7, 0xbc25_cc1e_d04f_ab64),
+            (RmatParams::erdos_renyi(12, 16), 11, 0x4d9c_d1b4_d4ad_4047),
+            (RmatParams::skewed(12, 16), 3, 0xa3b8_0e9b_4259_7853),
+            (RmatParams::skewed(12, 16), 7, 0x80f0_cbfd_3a1b_b39b),
+            (RmatParams::skewed(12, 16), 11, 0xc484_212c_b95d_bcbf),
+        ];
+        for (p, seed, fingerprint) in pinned {
+            assert_eq!(
+                rmat(p, seed).content_fingerprint(),
+                fingerprint,
+                "{p:?} seed {seed}"
+            );
+        }
+    }
 
     #[test]
     fn deterministic_for_same_seed() {

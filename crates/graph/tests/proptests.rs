@@ -106,6 +106,111 @@ fn arb_shard_inputs() -> impl Strategy<Value = (Csr, usize)> {
         })
 }
 
+/// `CsrBuilder::build` as it stood before the in-place rewrite: count
+/// and scatter, then copy each row out with `to_vec`, sort and dedup
+/// it, and repack the copies. Kept as the byte-for-byte reference for
+/// the builder; returns `(R, C)`.
+fn oracle_build(
+    n: usize,
+    edges: &[(VertexId, VertexId)],
+    symmetrize: bool,
+    keep_self_loops: bool,
+) -> (Vec<u32>, Vec<VertexId>) {
+    let mut counts = vec![0u32; n + 1];
+    let count_edge = |counts: &mut [u32], u: VertexId, v: VertexId| {
+        if u != v || keep_self_loops {
+            counts[u as usize + 1] += 1;
+        }
+    };
+    for &(u, v) in edges {
+        count_edge(&mut counts, u, v);
+        if symmetrize {
+            count_edge(&mut counts, v, u);
+        }
+    }
+    for i in 0..n {
+        counts[i + 1] += counts[i];
+    }
+    let offsets = counts.clone();
+    let mut cols = vec![0 as VertexId; offsets[n] as usize];
+    let mut cursor = counts;
+    let mut place = |u: VertexId, v: VertexId| {
+        if u != v || keep_self_loops {
+            cols[cursor[u as usize] as usize] = v;
+            cursor[u as usize] += 1;
+        }
+    };
+    for &(u, v) in edges {
+        place(u, v);
+        if symmetrize {
+            place(v, u);
+        }
+    }
+    let lists: Vec<Vec<VertexId>> = (0..n)
+        .map(|v| {
+            let mut list = cols[offsets[v] as usize..offsets[v + 1] as usize].to_vec();
+            list.sort_unstable();
+            list.dedup();
+            list
+        })
+        .collect();
+    let mut row_offsets = vec![0u32];
+    let mut col_indices = Vec::new();
+    for list in lists {
+        col_indices.extend_from_slice(&list);
+        row_offsets.push(col_indices.len() as u32);
+    }
+    (row_offsets, col_indices)
+}
+
+/// Inputs of one builder run: the final vertex count, the count the
+/// builder starts at before `grow_to`, the edges (duplicated in part,
+/// with self loops whenever two endpoints collide) and the two switches.
+type BuildInputs = (usize, usize, Vec<(VertexId, VertexId)>, bool, bool);
+
+/// Strategy: [`BuildInputs`], including `n = 0` and isolated vertices.
+fn arb_build_inputs() -> impl Strategy<Value = BuildInputs> {
+    (0usize..40).prop_flat_map(|n| {
+        let id = 0..(n.max(1) as VertexId);
+        let edges = proptest::collection::vec((id.clone(), id), 0..120);
+        let switches = (any::<bool>(), any::<bool>());
+        (Just(n), 0..=n, edges, 0usize..40, switches).prop_map(
+            |(n, start, mut edges, dups, (symmetrize, keep_self_loops))| {
+                if n == 0 {
+                    edges.clear();
+                }
+                let again: Vec<_> = edges.iter().copied().take(dups).collect();
+                edges.extend(again);
+                (n, start, edges, symmetrize, keep_self_loops)
+            },
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn build_matches_the_per_row_oracle(
+        (n, start, edges, symmetrize, keep_self_loops) in arb_build_inputs()
+    ) {
+        let mut b = CsrBuilder::new(start);
+        b.grow_to(n);
+        b.add_edges(edges.iter().copied());
+        if symmetrize {
+            b.symmetrize();
+        }
+        if keep_self_loops {
+            b.keep_self_loops();
+        }
+        let g = b.build();
+        let (want_r, want_c) = oracle_build(n, &edges, symmetrize, keep_self_loops);
+        prop_assert_eq!(g.row_offsets(), &want_r[..]);
+        prop_assert_eq!(g.col_indices(), &want_c[..]);
+        prop_assert_eq!(b.raw_edge_count(), 0);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
 
